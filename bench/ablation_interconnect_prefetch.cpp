@@ -66,7 +66,6 @@ void write_prefetch_json(const BenchArgs& args,
   w.begin_object();
   w.kv("bench", "ablation_interconnect_prefetch");
   w.kv("jobs", args.jobs);
-  w.kv("queue", to_string(queue_kind_of(args)));
   w.key("cells");
   w.begin_array();
   for (std::size_t i = 0; i < specs.size(); ++i) {

@@ -37,12 +37,6 @@ struct Scale {
   RunConfig run() const { return {requests, warmup}; }
 };
 
-/// --queue as a QueueKind for single-backend benches ("" and "both" mean
-/// the default heap; only comparative benches interpret "both" themselves).
-inline QueueKind queue_kind_of(const BenchArgs& args) {
-  return args.queue == "wheel" ? QueueKind::kWheel : QueueKind::kHeap;
-}
-
 /// Apply the fine-path flags (--interconnect, --prefetch, --mu) to a
 /// machine config. A no-op when none of the flags was given, so default
 /// runs stay bit-identical to history.
@@ -54,13 +48,12 @@ inline void apply_fine_path_flags(const BenchArgs& args,
   if (args.mapping_unit != 0) config.mapping_unit = args.mapping_unit;
 }
 
-/// default_machine / realapp_machine with the --queue backend and the
-/// fine-path flags applied — what every bench that builds configs by hand
-/// should call, so the common flags work uniformly across the suite.
+/// default_machine / realapp_machine with the fine-path flags applied —
+/// what every bench that builds configs by hand should call, so the common
+/// flags work uniformly across the suite.
 inline MachineConfig default_machine_for(const BenchArgs& args,
                                          PathKind kind) {
   MachineConfig config = default_machine(kind);
-  config.queue = queue_kind_of(args);
   apply_fine_path_flags(args, config);
   return config;
 }
@@ -68,7 +61,6 @@ inline MachineConfig default_machine_for(const BenchArgs& args,
 inline MachineConfig realapp_machine_for(const BenchArgs& args,
                                          PathKind kind) {
   MachineConfig config = realapp_machine(kind);
-  config.queue = queue_kind_of(args);
   apply_fine_path_flags(args, config);
   return config;
 }
@@ -96,8 +88,7 @@ using Column = std::map<PathKind, RunResult>;
 /// distribution, fanning the 25 independent cells over `args.jobs` threads
 /// (0 = hardware concurrency, 1 = serial). Each cell constructs its own
 /// deterministically seeded workload, so the matrix is bit-identical at any
-/// job count — and at any --queue backend, which is applied to every cell's
-/// machine here. `make_machine` lets ablations tweak configs per kind.
+/// job count. `make_machine` lets ablations tweak configs per kind.
 /// Prints an end-of-matrix summary of host wall-clock vs per-cell CPU time.
 inline std::map<char, Column> run_synthetic_matrix(
     Distribution dist, const Scale& scale, const BenchArgs& args,
@@ -105,13 +96,11 @@ inline std::map<char, Column> run_synthetic_matrix(
         [](PathKind k) { return default_machine(k); }) {
   const std::uint64_t seed = args.seed;
   const unsigned jobs = args.jobs;
-  const QueueKind queue = queue_kind_of(args);
   std::vector<ExperimentCell> cells;
   std::vector<std::pair<char, PathKind>> labels;
   for (char wl : {'A', 'B', 'C', 'D', 'E'}) {
     for (PathKind kind : kAllPaths) {
       MachineConfig config = make_machine(kind);
-      config.queue = queue;
       apply_fine_path_flags(args, config);
       cells.push_back({std::move(config),
                        [wl, dist, seed]() -> std::unique_ptr<Workload> {
@@ -211,7 +200,6 @@ inline void write_json_summary(const BenchArgs& args, const char* bench,
   w.begin_object();
   w.kv("bench", bench);
   w.kv("jobs", args.jobs);
-  w.kv("queue", to_string(queue_kind_of(args)));
   w.kv("total_host_seconds", total_seconds, 6);
   w.kv("total_events_executed", total_events);
   w.kv("events_per_sec",

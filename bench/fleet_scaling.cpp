@@ -70,7 +70,6 @@ void write_fleet_json(const BenchArgs& args, PartitionScheme partition,
   w.begin_object();
   w.kv("bench", "fleet_scaling");
   w.kv("jobs", args.jobs);
-  w.kv("queue", to_string(queue_kind_of(args)));
   w.kv("partition", to_string(partition));
   w.kv("total_host_seconds", total_seconds, 6);
   w.kv("total_events_executed", total_events);

@@ -133,7 +133,6 @@ void write_gc_json(const BenchArgs& args, const std::vector<CellSpec>& specs,
   w.begin_object();
   w.kv("bench", "gc_wear_sweep");
   w.kv("jobs", args.jobs);
-  w.kv("queue", to_string(queue_kind_of(args)));
   w.key("cells");
   w.begin_array();
   for (std::size_t i = 0; i < specs.size(); ++i) {

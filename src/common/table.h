@@ -41,8 +41,8 @@ class Table {
 };
 
 /// Parses the common bench CLI: --csv <path>, --json <path>, --requests N,
-/// --quick, --seed S, --jobs N, --queue heap|wheel|both,
-/// --interconnect hmb|lmb, --prefetch, --mu BYTES.
+/// --quick, --seed S, --jobs N, --interconnect hmb|lmb, --prefetch,
+/// --mu BYTES. Numeric values must be plain unsigned decimal integers.
 struct BenchArgs {
   std::string csv_path;         // empty = no CSV
   std::string json_path;        // empty = no JSON summary
@@ -51,9 +51,6 @@ struct BenchArgs {
   bool quick = false;           // reduced request count for smoke runs
   unsigned jobs = 0;            // experiment cells run in parallel;
                                 // 0 = hardware concurrency, 1 = serial
-  std::string queue;            // event-queue backend: "heap", "wheel",
-                                // "both" (comparative benches only), or
-                                // "" = the bench's default
   std::string interconnect;     // fine-grained fill link: "hmb", "lmb", or
                                 // "" = the bench's default (hmb)
   bool prefetch = false;        // speculative readahead on the Pipette path

@@ -1,21 +1,11 @@
-// Event-queue backends for the DES core.
+// Event queue of the DES core: a 4-ary min-heap of compact 24-byte
+// (when, seq, handle) entries with out-of-line callback storage. Sifts
+// compare and shuffle only the contiguous heap array, never the callbacks;
+// the callback slab is recycled through a free list, so a warm queue
+// schedules and pops without allocating.
 //
-// Two interchangeable priority-queue implementations sit behind
-// EventQueueInterface, selected per machine (MachineConfig::queue):
-//
-//  * EventQueue  — a 4-ary min-heap of compact 24-byte (when, seq, handle)
-//    entries with out-of-line callback storage (the PR 2 design). Sifts
-//    compare and shuffle only the contiguous heap array, never the
-//    callbacks; the callback slab is recycled through a free list.
-//  * WheelQueue  — a hierarchical timing wheel (wheel_queue.h) that turns
-//    the clustered fixed deltas of NAND/PCIe/HMB latencies into O(1)
-//    schedule/extract operations, spilling far-future events to an
-//    embedded EventQueue.
-//
-// Both back ends drain events in exactly (when, seq) ascending order — the
-// determinism contract every golden trace pins — and both support pop_run():
-// extracting an entire same-timestamp run at once so the simulator does not
-// pay one re-sift per event on burst-heavy schedules.
+// Events drain in exactly (when, seq) ascending order — the determinism
+// contract every golden trace pins.
 #pragma once
 
 #include <cstdint>
@@ -26,104 +16,49 @@
 
 namespace pipette {
 
-/// Which event-queue backend a Simulator uses. The two are bit-identical in
-/// drain order; they differ only in host cost per operation.
-enum class QueueKind {
-  kHeap,   // 4-ary pooled min-heap (EventQueue)
-  kWheel,  // hierarchical timing wheel + overflow heap (WheelQueue)
-};
-
-const char* to_string(QueueKind kind);
-
-class EventQueueInterface {
+class EventQueue {
  public:
   using Callback = InlineFunction<void()>;
 
-  virtual ~EventQueueInterface() = default;
-
-  virtual bool empty() const = 0;
-  virtual std::size_t size() const = 0;
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
   /// Timestamp of the earliest event; requires !empty().
-  virtual SimTime min_when() const = 0;
+  SimTime min_when() const { return heap_[0].when; }
 
   /// Insert an event. Ordering is by (when, seq) ascending, so equal
-  /// timestamps drain in submission order — the determinism contract.
-  virtual void push(SimTime when, std::uint64_t seq, Callback cb) = 0;
+  /// timestamps drain in submission order.
+  void push(SimTime when, std::uint64_t seq, Callback cb);
 
   /// Remove the earliest event, writing its key to `when`/`seq` and moving
   /// its callback into `cb` (no copy); requires !empty(). The slot is
   /// recycled immediately, so the callback may push new events freely.
-  virtual void pop_min(SimTime& when, std::uint64_t& seq, Callback& cb) = 0;
+  void pop_min(SimTime& when, std::uint64_t& seq, Callback& cb);
 
-  /// Remove *every* event sharing the earliest timestamp in one operation,
-  /// appending the callbacks to `out` in ascending seq order; requires
-  /// !empty(). Returns the run length. Cheaper than run-length pop_min
-  /// calls: the backend restructures once per run, not once per event.
-  virtual std::size_t pop_run(SimTime& when, std::vector<Callback>& out) = 0;
-
-  /// Release slab capacity retained above current occupancy. Callback slabs
-  /// only ever grow with the high-water mark of pending events; trimming
-  /// between experiment cells hands that memory back. Never changes drain
-  /// order; pending events are untouched.
-  virtual void trim() = 0;
-
-  /// High-water mark of size() observed after any push. Identical across
-  /// backends for identical schedules (exported as `des.slab_peak`).
-  virtual std::size_t peak_size() const = 0;
-
-  /// Pushes that spilled to an overflow structure because the primary one
-  /// could not hold their horizon (wheel only; the heap never spills).
-  virtual std::uint64_t overflow_pushes() const { return 0; }
-};
-
-class EventQueue final : public EventQueueInterface {
- public:
-  bool empty() const override { return heap_.empty(); }
-  std::size_t size() const override { return heap_.size(); }
-
-  SimTime min_when() const override { return heap_[0].when; }
-
-  void push(SimTime when, std::uint64_t seq, Callback cb) override;
-
-  void pop_min(SimTime& when, std::uint64_t& seq, Callback& cb) override;
-  /// Legacy two-argument form (tests and callers that don't need the seq).
-  void pop_min(SimTime& when, Callback& cb);
-
-  std::size_t pop_run(SimTime& when, std::vector<Callback>& out) override;
-
-  void trim() override;
-  std::size_t peak_size() const override { return peak_size_; }
+  /// High-water mark of size() observed after any push (exported as
+  /// `des.slab_peak`: the callback slab grows exactly with it).
+  std::size_t peak_size() const { return peak_size_; }
 
  private:
   /// Heap entry: the full sort key inline plus the callback slot handle.
-  /// Sifts compare and shuffle these 24-byte PODs without ever
-  /// dereferencing into the callback slab.
   struct Entry {
     SimTime when;
     std::uint64_t seq;
     std::uint32_t node;
   };
 
+  // Branch-free: heap keys are unpredictable, and a mispredicted branch
+  // per comparison costs more than evaluating both halves.
   static bool before(const Entry& a, const Entry& b) {
-    if (a.when != b.when) return a.when < b.when;
-    return a.seq < b.seq;
+    return (a.when < b.when) | ((a.when == b.when) & (a.seq < b.seq));
   }
   void sift_up(std::size_t pos);
   void sift_down(std::size_t pos);
-  /// Move the root's callback out (appending to `out`), recycle its node,
-  /// and restore the heap with one sift.
-  void pop_root_into(std::vector<Callback>& out);
 
   std::vector<Callback> nodes_;      // callback slab; index = stable handle
   std::vector<Entry> heap_;          // 4-ary heap of keyed entries
   std::vector<std::uint32_t> free_;  // recycled slab handles
   std::size_t peak_size_ = 0;
-
-  // pop_run scratch, reused across calls so batch extraction allocates
-  // nothing in steady state.
-  std::vector<std::uint32_t> run_pos_;  // heap positions of the current run
-  std::vector<Entry> run_entries_;      // the run's entries, sorted by seq
 };
 
 }  // namespace pipette

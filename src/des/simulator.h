@@ -6,21 +6,16 @@
 // completions, maintenance threads) is scheduled as events. Ties are broken
 // by insertion order, making every run fully deterministic.
 //
-// Hot-path design (see DESIGN.md "DES internals"): callbacks are
-// InlineFunction<void()> — move-only with a 48-byte small-buffer so typical
-// captures never heap-allocate — and the timer queue is a pluggable backend
-// (4-ary pooled heap or hierarchical timing wheel, see event_queue.h)
-// drained one same-timestamp *run* at a time: each run is extracted into a
-// reusable buffer with a single queue restructure, then executed without
-// touching the queue until the buffer empties. Extraction order — and
-// therefore every run — is identical whichever backend is selected.
+// Callbacks are InlineFunction<void()> — move-only with a 48-byte small
+// buffer, so typical captures never heap-allocate — held in one pooled
+// 4-ary heap (event_queue.h). The event loop pops and runs one event at a
+// time, so every run_* call may stop between any two events, including two
+// that share a timestamp, and the next call resumes in exact (when, seq)
+// order.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "common/inline_function.h"
 #include "common/units.h"
 #include "des/event_queue.h"
 
@@ -30,11 +25,7 @@ class Tracer;  // obs/trace.h — the DES core only carries the pointer
 
 class Simulator {
  public:
-  using Callback = EventQueueInterface::Callback;
-
-  explicit Simulator(QueueKind queue = QueueKind::kHeap);
-
-  QueueKind queue_kind() const { return queue_kind_; }
+  using Callback = EventQueue::Callback;
 
   /// Observability hook: an installed tracer receives per-stage span
   /// timestamps from instrumented components. The tracer is passive (it
@@ -58,32 +49,23 @@ class Simulator {
   /// Schedule `cb` at an absolute time (>= now()).
   void schedule_at(SimTime when, Callback cb);
 
-  /// Run events until the queue is empty or the next event is after `t`;
-  /// the clock ends at max(now, min(t, time of last event run)).
+  /// Run every event due at or before `t`; the clock ends at max(now, t).
   void run_until(SimTime t);
 
   /// Run every scheduled event.
   void run_all();
 
-  /// Run events until `done` returns true (checked after each event).
-  /// Returns false if the queue drained first. Templated so call sites pay
-  /// neither a std::function construction nor an indirect predicate call.
-  /// A run interrupted mid-buffer stays buffered; the next run_* call (or a
-  /// nested one from inside a callback) resumes it, preserving exact
-  /// (when, seq) execution order.
+  /// Run events until `done` returns true (checked before the first event
+  /// and after each one). Returns false if the queue drained first.
+  /// Templated so call sites pay neither a std::function construction nor
+  /// an indirect predicate call.
   template <typename Pred>
   bool run_until_condition(Pred&& done) {
-    if (done()) return true;
-    for (;;) {
-      if (!buffer_active()) {
-        if (queue_->empty()) return false;
-        refill_run();
-      }
-      while (buffer_active()) {
-        run_one();
-        if (done()) return true;
-      }
+    while (!done()) {
+      if (queue_.empty()) return false;
+      run_next();
     }
+    return true;
   }
 
   /// Deadline-bounded variant of run_until_condition: only events due at or
@@ -94,67 +76,29 @@ class Simulator {
   /// sequence of runs that never time out.
   template <typename Pred>
   bool run_until_condition_before(Pred&& done, SimTime deadline) {
-    if (done()) return true;
-    for (;;) {
-      if (!buffer_active()) {
-        if (queue_->empty() || queue_->min_when() > deadline) return false;
-        refill_run();
-      }
-      while (buffer_active() && run_when_ <= deadline) {
-        run_one();
-        if (done()) return true;
-      }
-      if (buffer_active()) return false;  // remainder is beyond the deadline
+    while (!done()) {
+      if (queue_.empty() || queue_.min_when() > deadline) return false;
+      run_next();
     }
+    return true;
   }
 
-  std::size_t pending_events() const {
-    return queue_->size() + buffered_remaining();
-  }
+  std::size_t pending_events() const { return queue_.size(); }
   std::uint64_t events_executed() const { return executed_; }
 
-  /// High-water mark of pending events (backend-invariant; exported as the
-  /// `des.slab_peak` metric — the callback slabs grow exactly with it).
-  std::size_t queue_peak_size() const { return queue_->peak_size(); }
-
-  /// Wheel-backend spills to the overflow heap; 0 on the heap backend.
-  std::uint64_t queue_overflow_pushes() const {
-    return queue_->overflow_pushes();
-  }
-
-  /// Hand back slab capacity above current occupancy (between experiment
-  /// cells); never touches pending events or drain order.
-  void trim_queue() { queue_->trim(); }
+  /// High-water mark of pending_events() (exported as `des.slab_peak`).
+  std::size_t queue_peak_size() const { return queue_.peak_size(); }
 
  private:
-  bool buffer_active() const { return run_next_ < run_buf_.size(); }
-  std::size_t buffered_remaining() const {
-    return run_buf_.size() - run_next_;
-  }
-  /// Extract the next same-timestamp run into the buffer and advance the
-  /// clock to it. Requires an exhausted buffer and a non-empty queue.
-  void refill_run();
-  /// Execute the next buffered callback. The slot is released before the
-  /// call, so the callback may schedule, drain, or even refill freely.
-  void run_one() {
-    Callback cb = std::move(run_buf_[run_next_]);
-    ++run_next_;
-    ++executed_;
-    cb();
-  }
+  /// Pop the earliest event, move the clock to it (never backward) and run
+  /// it. Requires a non-empty queue.
+  void run_next();
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  QueueKind queue_kind_;
-  std::unique_ptr<EventQueueInterface> queue_;
+  EventQueue queue_;
   Tracer* tracer_ = nullptr;
-
-  // Current same-timestamp run, drained front to back. Capacity is reused
-  // across runs, so steady-state batch drains allocate nothing.
-  std::vector<Callback> run_buf_;
-  std::size_t run_next_ = 0;
-  SimTime run_when_ = 0;
 };
 
 }  // namespace pipette

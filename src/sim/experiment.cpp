@@ -191,10 +191,6 @@ RunResult run_experiment_on(Machine& machine, Workload& workload,
     result.trace_spans = tracer->take_spans();
   }
   if (arena != nullptr) machine.release_scratch(a.lba_scratch, a.fg_ranges);
-  // Between cells the queue is (near-)empty; hand back whatever slab
-  // capacity the run's burstiest moment grew (high-water trimming — the
-  // peak itself is already recorded as des.slab_peak above).
-  machine.sim().trim_queue();
   result.host_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - host_t0)
           .count();

@@ -55,7 +55,7 @@ MachineConfig shaped(const MachineConfig& in) {
 }  // namespace
 
 Machine::Machine(const MachineConfig& config, std::span<const FileSpec> files)
-    : config_(shaped(config)), sim_(config_.queue) {
+    : config_(shaped(config)) {
   if (config_.trace.enabled) {
     tracer_ = std::make_unique<Tracer>(config_.trace);
     sim_.set_tracer(tracer_.get());
@@ -133,7 +133,6 @@ PageCache* Machine::page_cache() {
 void Machine::collect_metrics(MetricsRegistry& out) {
   out.set("sim.events_executed", sim_.events_executed());
   // High-water mark of pending events == the event-queue slab footprint.
-  // Backend-invariant, so heap and wheel runs stay Deterministic()-equal.
   out.set("des.slab_peak", sim_.queue_peak_size());
 
   const ControllerStats& cs = ssd_->stats();

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 
-#include "des/event_queue.h"
 #include "hostmem/host_timing.h"
 #include "hostmem/page_cache.h"
 #include "iopath/pipette_path.h"
@@ -63,10 +62,6 @@ struct MachineConfig {
                             /*enabled=*/true};
   PipettePathConfig pipette;  // used by the Pipette kinds
   TraceConfig trace;          // per-stage tracing (off by default)
-  /// Event-queue backend for this machine's Simulator. Both backends drain
-  /// in bit-identical (when, seq) order (pinned by queue_test), so this is
-  /// purely a host-speed knob; kWheel wins on clustered device latencies.
-  QueueKind queue = QueueKind::kHeap;
 };
 
 /// Defaults matching the synthetic-workload experiments (§4.2).

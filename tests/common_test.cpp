@@ -475,6 +475,36 @@ TEST(BenchArgs, DefaultsWhenBare) {
   EXPECT_EQ(args.jobs, 0u);  // 0 = hardware concurrency
 }
 
+// Parse one `flag value` pair; malformed values must exit before returning.
+BenchArgs parse_one(const char* flag, const char* value) {
+  const char* argv[] = {"prog", flag, value};
+  return BenchArgs::parse(3, const_cast<char**>(argv));
+}
+
+TEST(BenchArgs, RejectsMalformedNumbers) {
+  const auto usage_error = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(parse_one("--jobs", "abc"), usage_error, "--jobs");
+  EXPECT_EXIT(parse_one("--requests", "10x"), usage_error, "--requests");
+  EXPECT_EXIT(parse_one("--mu", "abc"), usage_error, "--mu");
+  EXPECT_EXIT(parse_one("--seed", ""), usage_error, "--seed");
+  EXPECT_EXIT(parse_one("--seed", "-1"), usage_error, "--seed");
+  EXPECT_EXIT(parse_one("--jobs", "+4"), usage_error, "--jobs");
+  EXPECT_EXIT(parse_one("--jobs", " 4"), usage_error, "--jobs");
+  EXPECT_EXIT(parse_one("--requests", "18446744073709551616"), usage_error,
+              "--requests");
+  EXPECT_EXIT(parse_one("--jobs", "4294967296"), usage_error, "--jobs");
+  EXPECT_EXIT(parse_one("--mu", "8192"), usage_error, "--mu");
+}
+
+TEST(BenchArgs, AcceptsBoundaryNumbers) {
+  EXPECT_EQ(parse_one("--requests", "18446744073709551615").requests,
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_one("--jobs", "4294967295").jobs,
+            std::numeric_limits<unsigned>::max());
+  EXPECT_EQ(parse_one("--seed", "0").seed, 0u);
+  EXPECT_EQ(parse_one("--mu", "512").mapping_unit, 512u);
+}
+
 // --- InlineFunction ---
 
 TEST(InlineFunction, InvokesWithArgumentsAndResult) {

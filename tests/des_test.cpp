@@ -181,8 +181,9 @@ TEST(EventQueue, MatchesReferencePriorityQueueUnderStress) {
     const std::uint64_t pops = 1 + rng.next_below(8);
     for (std::uint64_t i = 0; i < pops && !queue.empty(); ++i) {
       SimTime when = 0;
+      std::uint64_t popped_seq = 0;
       EventQueue::Callback cb;
-      queue.pop_min(when, cb);
+      queue.pop_min(when, popped_seq, cb);
       ASSERT_EQ(when, ref.top().when);
       want.push_back(ref.top().id);
       ref.pop();
@@ -202,9 +203,11 @@ TEST(EventQueue, MinWhenTracksEarliestEvent) {
   queue.push(20, 2, [] {});
   EXPECT_EQ(queue.min_when(), 10u);
   SimTime when = 0;
+  std::uint64_t seq = 0;
   EventQueue::Callback cb;
-  queue.pop_min(when, cb);
+  queue.pop_min(when, seq, cb);
   EXPECT_EQ(when, 10u);
+  EXPECT_EQ(seq, 1u);
   EXPECT_EQ(queue.min_when(), 20u);
   EXPECT_EQ(queue.size(), 2u);
 }

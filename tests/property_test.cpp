@@ -19,6 +19,7 @@
 
 #include <cstring>
 #include <map>
+#include <ostream>
 #include <unordered_set>
 #include <vector>
 
@@ -169,6 +170,13 @@ struct SlabGeometry {
   std::uint64_t slab_size;
   std::vector<std::uint32_t> class_sizes;
 };
+
+// Prints the geometry itself. Without this, gtest prints the raw bytes, which
+// include the class-size vector's heap address and so differ from run to run.
+void PrintTo(const SlabGeometry& g, std::ostream* os) {
+  *os << g.slab_size / 1024 << "KiB slabs, classes";
+  for (std::uint32_t size : g.class_sizes) *os << ' ' << size;
+}
 
 class SlabStress : public ::testing::TestWithParam<SlabGeometry> {};
 
