@@ -1,5 +1,6 @@
 #include "fleet/replica.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/assert.h"
@@ -36,6 +37,10 @@ const char* to_string(ReplicaRole role) {
       return "write";
     case ReplicaRole::kCatchupWrite:
       return "catchup-write";
+    case ReplicaRole::kReject:
+      return "reject";
+    case ReplicaRole::kDefer:
+      return "defer";
   }
   PIPETTE_ASSERT_MSG(false, "unknown ReplicaRole");
   return "?";  // unreachable: the assert above aborts
@@ -59,6 +64,8 @@ ReplicaRouter::ReplicaRouter(const ReplicationConfig& repl,
     }
   }
   up_scratch_.reserve(repl_.replicas);
+  next_rejoin_ = next_rejoin();
+  counters_.down_requests.assign(groups(), 0);
 }
 
 bool ReplicaRouter::down(std::uint32_t machine, std::uint64_t index) const {
@@ -123,8 +130,18 @@ void ReplicaRouter::emit_group_write(std::size_t group, std::uint64_t index,
   }
 }
 
+std::uint64_t ReplicaRouter::next_rejoin() const {
+  std::uint64_t next = ~0ull;
+  for (const MachineState& ms : state_) {
+    if (ms.outage != nullptr && !ms.rejoined)
+      next = std::min(next, ms.outage->recover_at);
+  }
+  return next;
+}
+
 void ReplicaRouter::process_rejoins(std::uint64_t index,
                                     std::vector<ReplicaAssignment>& out) {
+  if (index < next_rejoin_) return;
   for (std::uint32_t m = 0; m < state_.size(); ++m) {
     MachineState& ms = state_[m];
     if (ms.outage == nullptr || ms.rejoined || index < ms.outage->recover_at)
@@ -140,6 +157,7 @@ void ReplicaRouter::process_rejoins(std::uint64_t index,
     ms.missed_writes.clear();
     ms.dirty.clear();
   }
+  next_rejoin_ = next_rejoin();
 }
 
 void ReplicaRouter::serve_read(std::size_t group, std::uint64_t index,
@@ -147,34 +165,27 @@ void ReplicaRouter::serve_read(std::size_t group, std::uint64_t index,
                                std::vector<ReplicaAssignment>& out) {
   const std::uint32_t primary = machine_id(group, 0);
   const bool primary_down = down(primary, index);
-  if (measured && primary_down) ++counters_.down_requests;
+  if (measured && primary_down) ++counters_.down_requests[group];
 
-  // Fallback when the policy finds no server in the owning group: the
-  // fleet's DownShardPolicy decides, mirroring the replica-free semantics —
-  // kReroute serves on the next group with an up copy (charged like a
-  // failover), the other policies leave the read unserved (kRetryBackoff
-  // additionally burning its client backoff ladder).
+  // No copy of the owning group serves under the read policy: the fleet's
+  // DownShardPolicy decides (see the file comment). Reject and defer land
+  // on the down primary without the stale-read check — it serves nothing
+  // now, and a deferral replays only after the copy's catch-up writes.
   auto fallback = [&] {
     if (faults_.policy == DownShardPolicy::kReroute) {
       for (std::size_t d = 1; d < groups(); ++d) {
-        const std::size_t g2 = (group + d) % groups();
-        up_replicas(g2, index);
+        up_replicas((group + d) % groups(), index);
         if (up_scratch_.empty()) continue;
-        emit_read(up_scratch_.front(), ReplicaRole::kFailoverServe, index, req,
-                  out);
-        if (measured) {
-          ++counters_.failover_reads;
-          ++counters_.client_retries;
-          counters_.client_read_bytes += req.len;
-        }
+        emit_read(up_scratch_.front(), ReplicaRole::kServe, index, req, out);
+        if (measured) ++counters_.failover_reads;
         return;
       }
     }
-    if (measured) {
-      ++counters_.unserved_reads;
-      if (faults_.policy == DownShardPolicy::kRetryBackoff)
-        counters_.client_retries += faults_.retry_attempts;
-    }
+    if (measured) ++counters_.unserved_reads;
+    const ReplicaRole role = faults_.policy == DownShardPolicy::kRetryBackoff
+                                 ? ReplicaRole::kDefer
+                                 : ReplicaRole::kReject;
+    out.push_back({primary, role, index, req});
   };
 
   // Standby shadow reads: each up standby that is not serving this read
@@ -193,7 +204,6 @@ void ReplicaRouter::serve_read(std::size_t group, std::uint64_t index,
     case ReadPolicy::kPrimaryOnly: {
       if (!primary_down) {
         emit_read(primary, ReplicaRole::kServe, index, req, out);
-        if (measured) counters_.client_read_bytes += req.len;
       } else {
         fallback();  // standbys may be up, but primary-only never asks them
       }
@@ -203,7 +213,6 @@ void ReplicaRouter::serve_read(std::size_t group, std::uint64_t index,
     case ReadPolicy::kFailover: {
       if (!primary_down) {
         emit_read(primary, ReplicaRole::kServe, index, req, out);
-        if (measured) counters_.client_read_bytes += req.len;
         shadow_standbys(/*serving=*/primary);
         return;
       }
@@ -217,7 +226,6 @@ void ReplicaRouter::serve_read(std::size_t group, std::uint64_t index,
       if (measured) {
         ++counters_.failover_reads;
         ++counters_.client_retries;  // the client re-issued after the error
-        counters_.client_read_bytes += req.len;
       }
       shadow_standbys(/*serving=*/standby);
       return;
@@ -234,7 +242,6 @@ void ReplicaRouter::serve_read(std::size_t group, std::uint64_t index,
         ++counters_.quorum_reads;
         counters_.quorum_fanout += up_scratch_.size();
         if (up_scratch_.size() < repl_.quorum_k) ++counters_.quorum_shortfall;
-        counters_.client_read_bytes += req.len;
       }
       return;
     }
@@ -256,7 +263,6 @@ void ReplicaRouter::route(std::uint64_t index, const Request& req,
       in_range && counters_.cut_over ? mig.target : base;
 
   if (req.is_write) {
-    if (measured) counters_.client_write_bytes += req.len;
     emit_group_write(owner, index, req, out);
     if (dual && mig.target != base) {
       // Dual window: in-range writes land on both groups so the target is
@@ -307,18 +313,18 @@ ReplicaWorkload::ReplicaWorkload(std::unique_ptr<Workload> master,
 }
 
 Request ReplicaWorkload::next() {
-  while (queue_head_ == queue_.size()) {
-    queue_.clear();
-    queue_head_ = 0;
-    scratch_.clear();
-    const Request req = master_->next();
-    router_.route(master_consumed_++, req, scratch_);
-    for (const ReplicaAssignment& a : scratch_) {
-      if (a.machine == machine_) queue_.push_back(a);
+  for (;;) {
+    while (head_ < routed_.size()) {
+      const ReplicaAssignment& a = routed_[head_++];
+      if (a.machine == machine_) {
+        last_ = a;
+        return a.req;
+      }
     }
+    routed_.clear();
+    head_ = 0;
+    router_.route(master_consumed_++, master_->next(), routed_);
   }
-  last_ = queue_[queue_head_++];
-  return last_.req;
 }
 
 std::string ReplicaWorkload::name() const {

@@ -8,13 +8,14 @@
 // distinguishes the copies is the history each one serves — which is exactly
 // what the ReplicaRouter decides.
 //
-// The router is the replica-world analogue of effective_shard(): a pure
-// deterministic state machine over the master stream. The counting pre-pass
-// and every machine's stream filter (ReplicaWorkload) instantiate their own
-// router from the same (config, faults, seed) and feed it the same master
-// requests in the same order, so they agree on every assignment without
-// sharing any state — that is what keeps jobs-1 == jobs-N bit-identical
-// under failover, quorum fan-out, shadow reads, and mid-run migration.
+// The router is the fleet's only routing mechanism — every fleet, R=1
+// included, runs through it — and a pure deterministic state machine over
+// the master stream. The counting pre-pass and every machine's stream
+// filter (ReplicaWorkload) instantiate their own router from the same
+// (config, faults, seed) and feed it the same master requests in the same
+// order, so they agree on every assignment without sharing any state —
+// that is what keeps jobs-1 == jobs-N bit-identical under outages,
+// failover, quorum fan-out, shadow reads, and mid-run migration.
 //
 // Read policies:
 //  * kPrimaryOnly — the primary serves or nobody does; standbys only absorb
@@ -26,13 +27,28 @@
 //    k-th fastest response (first-k-of-R), so a replica loss costs no
 //    detection stall at all.
 //
+// Outages: a read no copy of its group can serve under the read policy
+// goes by the fleet's DownShardPolicy, with the same rules at every R:
+//  * kFailFast     — a kReject assignment on the owner's primary, which
+//    refuses it after fail_fast_latency.
+//  * kRetryBackoff — a kDefer assignment on the owner's primary, which
+//    parks it and replays it once the copy is back, charging the client's
+//    backoff ladder to that machine (deferrals never replayed fail).
+//  * kReroute      — the first group in ring order with an up copy serves
+//    it as a plain kServe: no detection penalty, no client retry, but
+//    counted as a failover read. With the whole fleet down it is rejected
+//    as under kFailFast.
+// A recovered copy is cold-restarted, except under kReroute (a routing
+// drain: the machine never stopped).
+//
 // Staleness: a down replica misses the writes replicated to its group. The
 // router buffers them and replays each one as a catch-up write at the
-// replica's first post-recovery master index (right after its cold restart),
-// and never routes client reads to a replica holding unapplied writes — so
-// the stale-read count is structurally zero, and the router *checks* it by
-// tracking per-machine dirty key ranges (fleet.replica_stale_reads == 0 is
-// the pinned invariant, not an assumption).
+// replica's first post-recovery master index (right after its cold restart,
+// and before any read it deferred), and never routes client reads to a
+// replica holding unapplied writes — so the stale-read count is
+// structurally zero, and the router *checks* it by tracking per-machine
+// dirty key ranges (fleet.replica_stale_reads == 0 is the pinned
+// invariant, not an assumption).
 //
 // Live resharding: MigrationPlan moves the keys in [key_lo, key_hi) from
 // their partitioner owner to group `target` during the run. From start_at
@@ -74,9 +90,7 @@ struct MigrationPlan {
 };
 
 struct ReplicationConfig {
-  /// Copies per group. 1 with kPrimaryOnly and no shadow/migration is the
-  /// degenerate config: FleetRunner takes the legacy replica-free path,
-  /// bit-identical to the pre-replica fleet (golden-pinned).
+  /// Copies per group; 1 (the default) is the unreplicated fleet.
   std::size_t replicas = 1;
   ReadPolicy read_policy = ReadPolicy::kPrimaryOnly;
   /// kQuorum completion threshold (clamped to the up-replica count when the
@@ -87,26 +101,21 @@ struct ReplicationConfig {
   /// caches warm so failover lands on a warm machine instead of a cold one.
   double shadow_read_fraction = 0.0;
   MigrationPlan migration;
-
-  /// True iff any replica machinery is needed; false routes FleetRunner to
-  /// the legacy single-copy path.
-  bool any() const {
-    return replicas > 1 || read_policy != ReadPolicy::kPrimaryOnly ||
-           shadow_read_fraction > 0.0 || migration.active();
-  }
 };
 
 /// Why a machine sees a request. Client-visible latency comes only from the
-/// three serve roles; shadow/warm/catch-up work is device load, not client
-/// traffic.
+/// three serve roles (and replayed kDefer reads); shadow/warm/catch-up work
+/// is device load, not client traffic.
 enum class ReplicaRole : std::uint8_t {
-  kServe,          // authoritative read: its latency is the client's
-  kFailoverServe,  // standby (or reroute target) serving for a down copy
+  kServe,          // authoritative read (owner or reroute target)
+  kFailoverServe,  // standby serving for its group's down primary
   kQuorumServe,    // one leg of a quorum fan-out
   kShadowRead,     // standby cache-warming read (invisible to the client)
   kWarmRead,       // migration-target warming read during the dual window
   kWrite,          // replicated write
   kCatchupWrite,   // write missed during an outage, replayed at rejoin
+  kReject,         // unservable read refused by the down owner primary
+  kDefer,          // unservable read parked by the down owner primary
 };
 
 const char* to_string(ReplicaRole role);
@@ -126,9 +135,10 @@ struct ReplicaAssignment {
 /// the warmup boundary falls.
 struct ReplicaCounters {
   std::uint64_t client_reads = 0;     // measured client reads (attempted)
-  std::uint64_t unserved_reads = 0;   // no up copy anywhere to serve them
-  std::uint64_t client_retries = 0;   // failover re-issues + backoff ladders
-  std::uint64_t down_requests = 0;    // reads whose preferred copy was down
+  std::uint64_t unserved_reads = 0;   // rejected or deferred on arrival
+  std::uint64_t client_retries = 0;   // in-group failover re-issues
+  /// Per group: measured reads that arrived while its primary was down.
+  std::vector<std::uint64_t> down_requests;
   std::uint64_t failover_reads = 0;   // served by a standby/reroute target
   std::uint64_t shadow_reads = 0;
   std::uint64_t quorum_reads = 0;
@@ -136,8 +146,6 @@ struct ReplicaCounters {
   std::uint64_t quorum_shortfall = 0; // quorum reads with fewer than k legs
   std::uint64_t stale_reads = 0;      // reads routed to a dirty replica (== 0)
   std::uint64_t catchup_writes = 0;   // whole run
-  std::uint64_t client_write_bytes = 0;
-  std::uint64_t client_read_bytes = 0;  // bytes of measured served reads
   // Migration progress (whole run).
   std::uint64_t dual_reads = 0;
   std::uint64_t warm_reads_done = 0;  // warm legs issued to target replicas
@@ -197,6 +205,8 @@ class ReplicaRouter {
                   bool measured, std::vector<ReplicaAssignment>& out);
   void process_rejoins(std::uint64_t index,
                        std::vector<ReplicaAssignment>& out);
+  /// Earliest recover_at among copies that have not rejoined yet.
+  std::uint64_t next_rejoin() const;
   bool shadow_draw(std::uint32_t machine, std::uint64_t index) const;
 
   ReplicationConfig repl_;
@@ -206,13 +216,17 @@ class ReplicaRouter {
   std::uint64_t shadow_seed_;
   std::vector<MachineState> state_;       // one per machine
   std::vector<std::uint32_t> up_scratch_; // up_replicas() result
+  /// process_rejoins() watermark: no copy rejoins before this index, so a
+  /// fault-free route() skips the per-machine scan entirely.
+  std::uint64_t next_rejoin_;
   ReplicaCounters counters_;
 };
 
 /// The sub-stream of the master workload that lands on one machine of a
 /// replicated fleet: replays the master stream through a private
-/// ReplicaRouter and yields this machine's assignments in order. The
-/// replica-world ShardWorkload.
+/// ReplicaRouter and yields this machine's assignments in order. Because
+/// every machine filters one identical stream, partitioning changes who
+/// serves a request, never which requests exist or their per-key order.
 class ReplicaWorkload : public Workload {
  public:
   ReplicaWorkload(std::unique_ptr<Workload> master,
@@ -240,9 +254,8 @@ class ReplicaWorkload : public Workload {
   ReplicaRouter router_;
   std::uint32_t machine_;
   std::uint64_t master_consumed_ = 0;
-  std::vector<ReplicaAssignment> scratch_;  // route() output per master draw
-  std::vector<ReplicaAssignment> queue_;    // this machine's pending slice
-  std::size_t queue_head_ = 0;
+  std::vector<ReplicaAssignment> routed_;  // route() output of the last draw
+  std::size_t head_ = 0;                   // next routed_ entry to scan
   ReplicaAssignment last_;
 };
 

@@ -137,18 +137,19 @@ struct RunResult {
 RunResult run_experiment(const MachineConfig& config, Workload& workload,
                          const RunConfig& run);
 
-/// Per-request interception for fault-aware drivers (the fleet's shard
-/// outage policies). `on_request` sees every request before it is issued,
-/// together with the issuing closure; returning true means the hook consumed
-/// (or rejected) the request and the runner must not issue it itself.
+/// Per-request interception for fault-aware callers (the fleet's replica
+/// roles and outage policies). `on_request` sees every request before it is
+/// issued, together with the issuing closure; returning true means the hook
+/// consumed (or rejected) the request and the runner must not issue it
+/// itself.
 struct RunHooks {
   using IssueFn = std::function<void(const Request&)>;
   std::function<bool(const Request&, const IssueFn&)> on_request;
 };
 
 /// The same warmup + measurement flow on a caller-owned machine. This is
-/// what the fleet layer drives: each Shard owns its Machine (and with it a
-/// private Simulator) and pushes its sub-stream through it. The machine is
+/// what the fleet layer drives: each fleet machine (and with it a private
+/// Simulator) gets its own sub-stream pushed through it. The machine is
 /// expected to be freshly built for `workload.files()`; reusing a machine
 /// across runs measures the second run against pre-warmed caches.
 RunResult run_experiment_on(Machine& machine, Workload& workload,

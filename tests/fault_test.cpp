@@ -8,10 +8,12 @@
 
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/inline_function.h"
 #include "fleet/fleet.h"
+#include "fleet/replica.h"
 #include "nand/nand.h"
 #include "sim/experiment.h"
 #include "workload/synthetic.h"
@@ -356,6 +358,32 @@ TEST(FleetFaults, RerouteServesTheFullStreamElsewhere) {
   EXPECT_TRUE(deterministic_equal(rerouted, parallel));
 }
 
+// Writes to a down unreplicated shard are buffered and replayed as
+// catch-up writes at recovery; the shard's deferred reads replay after
+// them, so nothing is lost, stale or left unanswered.
+TEST(FleetFaults, RetryBackoffWithWritesReplaysAfterCatchup) {
+  FleetConfig fleet = faulty_fleet(3, PathKind::kPipette);
+  fleet.faults.outages = {{/*shard=*/1, /*fail_at=*/500, /*recover_at=*/800}};
+  fleet.faults.policy = DownShardPolicy::kRetryBackoff;
+  FleetRunner runner(
+      fleet,
+      [](std::uint64_t seed) -> std::unique_ptr<Workload> {
+        SyntheticConfig sc = small_synth('C', seed);
+        sc.write_ratio = 0.3;
+        return std::make_unique<SyntheticWorkload>(sc);
+      },
+      42);
+  const FleetResult r = runner.run({900, 400}, /*jobs=*/1);
+
+  EXPECT_GT(r.down_requests, 0u);
+  EXPECT_EQ(r.failed_reads, 0u);
+  EXPECT_EQ(r.retries, r.down_requests * fleet.faults.retry_attempts);
+  EXPECT_GT(r.metrics.value("fleet.replica_catchup_writes"), 0u);
+  EXPECT_EQ(r.metrics.value("fleet.replica_lost_writes"), 0u);
+  EXPECT_EQ(r.metrics.value("fleet.replica_stale_reads"), 0u);
+  EXPECT_TRUE(deterministic_equal(r, runner.run({900, 400}, /*jobs=*/3)));
+}
+
 TEST(FleetFaults, DeviceFaultsAreDeterministicAcrossJobCounts) {
   FleetConfig fleet = faulty_fleet(4, PathKind::kPipette);
   fleet.machine = faulty_machine(PathKind::kPipette, 1e-2);
@@ -380,46 +408,104 @@ TEST(FleetFaults, ZeroRequestRunMergesClean) {
   EXPECT_EQ(r.mean_latency_us, 0.0);
 }
 
-// --- effective_shard() -------------------------------------------------
+// Two windows for one copy would be ambiguous (the router honours one), so
+// the runner refuses them up front; distinct copies of a group may each
+// have their own window.
+TEST(FleetFaults, DuplicateOutageWindowsAreRejected) {
+  FleetConfig fleet = faulty_fleet(3, PathKind::kBlockIo);
+  fleet.faults.outages = {{1, 100, 200}, {1, 500, 800}};
+  EXPECT_DEATH({ FleetRunner r(fleet, synth_factory('C'), 42); },
+               "two outage windows");
 
-// The pre-pass and every shard's stream filter call effective_shard() and
-// must agree bit-for-bit; these pin its routing table directly.
-TEST(EffectiveShard, RingOrderSkipsDownShardsUnderReroute) {
+  fleet.replication.replicas = 2;
+  fleet.faults.outages = {{1, 100, 200, /*replica=*/0},
+                          {1, 500, 800, /*replica=*/1}};
+  FleetRunner ok(fleet, synth_factory('C'), 42);
+  EXPECT_EQ(ok.config().faults.outages.size(), 2u);
+}
+
+// --- Router outage routing at R=1 ---------------------------------------
+
+// The pre-pass and every machine's stream filter replay the same router
+// and must agree bit-for-bit; these pin its outage routing table at R=1.
+// A range partitioner over a `groups`-MiB file makes offset g MiB a key of
+// group g.
+class RouteTable {
+ public:
+  RouteTable(std::size_t groups, const FleetFaultPlan& faults)
+      : files_{{"f", groups * kMiB}},
+        router_(ReplicationConfig{}, faults,
+                Partitioner(PartitionScheme::kRange, groups, files_),
+                /*seed=*/42, /*warmup=*/0) {}
+
+  /// (machine, role) of the one assignment a read of group `owner`'s key
+  /// gets at master index `index`.
+  std::pair<std::uint32_t, ReplicaRole> route(std::uint64_t index,
+                                              std::size_t owner) {
+    std::vector<ReplicaAssignment> out;
+    router_.route(index, {0, owner * kMiB, 128, false}, out);
+    EXPECT_EQ(out.size(), 1u);
+    if (out.empty()) return {~0u, ReplicaRole::kServe};
+    return {out.front().machine, out.front().role};
+  }
+  const ReplicaCounters& counters() const { return router_.counters(); }
+
+ private:
+  std::vector<FileSpec> files_;
+  ReplicaRouter router_;
+};
+
+constexpr auto kServe = ReplicaRole::kServe;
+
+TEST(RerouteTable, RingOrderSkipsDownGroups) {
   FleetFaultPlan faults;
   faults.policy = DownShardPolicy::kReroute;
   faults.outages = {{/*shard=*/1, /*fail_at=*/100, /*recover_at=*/200},
                     {/*shard=*/2, /*fail_at=*/100, /*recover_at=*/200}};
+  RouteTable t(5, faults);
   // Outside the window: everyone serves their own keys.
-  EXPECT_EQ(effective_shard(faults, 5, 1, 99), 1u);
-  EXPECT_EQ(effective_shard(faults, 5, 1, 200), 1u);
-  // Inside: shard 1's traffic skips the also-down shard 2 and lands on 3.
-  EXPECT_EQ(effective_shard(faults, 5, 1, 100), 3u);
-  EXPECT_EQ(effective_shard(faults, 5, 2, 150), 3u);
-  // Up shards keep their own traffic regardless of the window.
-  EXPECT_EQ(effective_shard(faults, 5, 0, 150), 0u);
-  EXPECT_EQ(effective_shard(faults, 5, 4, 150), 4u);
+  EXPECT_EQ(t.route(99, 1), std::make_pair(1u, kServe));
+  // Inside: group 1's traffic skips the also-down group 2 and lands on 3,
+  // as a plain serve (no detection penalty, no client retry).
+  EXPECT_EQ(t.route(100, 1), std::make_pair(3u, kServe));
+  EXPECT_EQ(t.route(150, 2), std::make_pair(3u, kServe));
+  // Up groups keep their own traffic regardless of the window.
+  EXPECT_EQ(t.route(151, 0), std::make_pair(0u, kServe));
+  EXPECT_EQ(t.route(152, 4), std::make_pair(4u, kServe));
+  EXPECT_EQ(t.route(200, 1), std::make_pair(1u, kServe));
+  // Rerouted reads still count as failovers, and as down requests of the
+  // owner that could not serve them.
+  EXPECT_EQ(t.counters().failover_reads, 2u);
+  EXPECT_EQ(t.counters().client_retries, 0u);
+  EXPECT_EQ(t.counters().down_requests,
+            (std::vector<std::uint64_t>{0, 1, 1, 0, 0}));
 }
 
-TEST(EffectiveShard, WrapsTheRingAndHandlesWholeFleetDown) {
+TEST(RerouteTable, WrapsTheRingAndRejectsWhenWholeFleetIsDown) {
   FleetFaultPlan faults;
   faults.policy = DownShardPolicy::kReroute;
   faults.outages = {{/*shard=*/2, /*fail_at=*/0, /*recover_at=*/100},
                     {/*shard=*/0, /*fail_at=*/0, /*recover_at=*/100}};
-  // Shard 2's ring walk wraps past the down shard 0 to reach shard 1.
-  EXPECT_EQ(effective_shard(faults, 3, 2, 50), 1u);
-  // Whole fleet down: the owner keeps the request (the runner's fail-fast
-  // guard then rejects it rather than silently serving it).
+  // Group 2's ring walk wraps past the down group 0 to reach group 1.
+  EXPECT_EQ(RouteTable(3, faults).route(50, 2), std::make_pair(1u, kServe));
+  // Whole fleet down: nobody can take it, so the owner rejects it
+  // fail-fast rather than silently serving it.
   faults.outages.push_back({/*shard=*/1, /*fail_at=*/0, /*recover_at=*/100});
-  EXPECT_EQ(effective_shard(faults, 3, 2, 50), 2u);
+  RouteTable down(3, faults);
+  EXPECT_EQ(down.route(50, 2), std::make_pair(2u, ReplicaRole::kReject));
+  EXPECT_EQ(down.counters().unserved_reads, 1u);
 }
 
-TEST(EffectiveShard, NonRerouteMakesItTheIdentity) {
+TEST(RerouteTable, OtherPoliciesKeepTheReadOnItsOwner) {
   for (DownShardPolicy policy :
        {DownShardPolicy::kFailFast, DownShardPolicy::kRetryBackoff}) {
     FleetFaultPlan faults;
     faults.policy = policy;
     faults.outages = {{/*shard=*/1, /*fail_at=*/0, /*recover_at=*/100}};
-    EXPECT_EQ(effective_shard(faults, 4, 1, 50), 1u)
+    const ReplicaRole want = policy == DownShardPolicy::kFailFast
+                                 ? ReplicaRole::kReject
+                                 : ReplicaRole::kDefer;
+    EXPECT_EQ(RouteTable(4, faults).route(50, 1), std::make_pair(1u, want))
         << to_string(policy);
   }
 }
@@ -447,9 +533,9 @@ TEST(FleetFaults, AllShardsDownWindowFailsFastAndMergesClean) {
   EXPECT_TRUE(deterministic_equal(serial, parallel));
 }
 
-// Reroute with nowhere to go: effective_shard() returns the owner, and the
-// runner's guard rejects the request fail-fast instead of letting the down
-// shard serve it into a healthy-looking histogram.
+// Reroute with nowhere to go: the router rejects the request fail-fast on
+// its owner instead of letting the down shard serve it into a
+// healthy-looking histogram.
 TEST(FleetFaults, RerouteWithNowhereToGoFailsInsteadOfServing) {
   FleetConfig fleet = faulty_fleet(3, PathKind::kBlockIo);
   fleet.faults.policy = DownShardPolicy::kReroute;
@@ -488,8 +574,8 @@ TEST(FleetFaults, WholeFleetDownWholeRunMergesToZeros) {
 
 // Reroute composed with a range partitioner and a non-divisor shard count:
 // the hot low-key slice belongs to shard 0; while it is down the ring
-// sends its traffic to shard 1, and the pre-pass (which sizes phases by
-// effective_shard()) agrees with the filters at any job count.
+// sends its traffic to shard 1, and the pre-pass (which sizes phases with
+// its own router) agrees with the filters at any job count.
 TEST(FleetFaults, RerouteWithRangePartitionerAndNonDivisorShards) {
   FleetConfig fleet = faulty_fleet(5, PathKind::kBlockIo);
   fleet.partition = PartitionScheme::kRange;

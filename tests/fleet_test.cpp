@@ -5,10 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "fleet/fleet.h"
-#include "fleet/shard_workload.h"
+#include "fleet/replica.h"
 #include "workload/synthetic.h"
 
 namespace pipette {
@@ -115,9 +116,10 @@ TEST(Fleet, ShardCountPreservesFleetTotals) {
 }
 
 // The sub-stream contract, checked against a by-hand filter of the master
-// stream: shard s's workload yields exactly the master requests whose key
-// maps to s, in master order.
-TEST(ShardWorkloadTest, FiltersTheMasterStreamInOrder) {
+// stream: under the default replication config (R=1, machine id == shard)
+// machine s's workload yields exactly the master requests whose key maps to
+// s, in master order, each as a plain serve at its master index.
+TEST(ReplicaWorkloadTest, FiltersTheMasterStreamInOrder) {
   constexpr std::size_t kShards = 3;
   constexpr int kDraws = 4000;
   SyntheticConfig sc = table1_workload('C', Distribution::kUniform, 7);
@@ -125,23 +127,29 @@ TEST(ShardWorkloadTest, FiltersTheMasterStreamInOrder) {
 
   SyntheticWorkload master(sc);
   const Partitioner part(PartitionScheme::kHash, kShards, master.files());
-  std::vector<std::vector<Request>> expected(kShards);
+  std::vector<std::vector<std::pair<std::uint64_t, Request>>> expected(
+      kShards);
   for (int i = 0; i < kDraws; ++i) {
     const Request req = master.next();
-    expected[part.shard_of(req)].push_back(req);
+    expected[part.shard_of(req)].push_back(
+        {static_cast<std::uint64_t>(i), req});
   }
 
   for (std::size_t s = 0; s < kShards; ++s) {
-    ShardWorkload sub(std::make_unique<SyntheticWorkload>(sc), part, s);
+    ReplicaWorkload sub(std::make_unique<SyntheticWorkload>(sc),
+                        ReplicationConfig{}, FleetFaultPlan{}, part,
+                        static_cast<std::uint32_t>(s), /*seed=*/7,
+                        /*warmup=*/0);
     for (std::size_t i = 0; i < expected[s].size(); ++i) {
       const Request got = sub.next();
-      const Request& want = expected[s][i];
+      const auto& [index, want] = expected[s][i];
       ASSERT_EQ(got.file_index, want.file_index) << "shard " << s;
       ASSERT_EQ(got.offset, want.offset) << "shard " << s << " draw " << i;
       ASSERT_EQ(got.len, want.len);
       ASSERT_EQ(got.is_write, want.is_write);
+      ASSERT_EQ(sub.last().index, index) << "shard " << s << " draw " << i;
+      ASSERT_EQ(sub.last().role, ReplicaRole::kServe);
     }
-    EXPECT_LE(sub.master_consumed(), static_cast<std::uint64_t>(kDraws));
   }
 }
 
@@ -210,26 +218,6 @@ TEST(Fleet, PerShardMachineOverrides) {
   EXPECT_EQ(r.shard_results[2].path_name, "Pipette");
   EXPECT_GT(r.shard_results[0].fgrc_hit_ratio, 0.0);
   EXPECT_EQ(r.shard_results[1].fgrc_hit_ratio, 0.0);
-}
-
-// kIndependent mode: every replica runs the full request count on its own
-// split-seeded stream — streams differ across shards but the whole fleet
-// result is still a pure function of the fleet seed.
-TEST(Fleet, IndependentModeRunsDistinctFullStreams) {
-  FleetConfig fleet = small_fleet(3, PathKind::kBlockIo);
-  fleet.substream = SubstreamMode::kIndependent;
-  FleetRunner runner(fleet, synth_factory('C', Distribution::kUniform), 42);
-  const RunConfig rc{1000, 400};
-  const FleetResult a = runner.run(rc, /*jobs=*/1);
-  for (const RunResult& shard : a.shard_results)
-    EXPECT_EQ(shard.requests, rc.requests);
-  EXPECT_EQ(a.requests, rc.requests * 3);
-  // Workload 'C' mixes request sizes at random, so distinct streams draw
-  // distinct byte totals.
-  EXPECT_NE(a.shard_results[0].bytes_requested,
-            a.shard_results[1].bytes_requested);
-  const FleetResult b = runner.run(rc, /*jobs=*/3);
-  EXPECT_TRUE(deterministic_equal(a, b));
 }
 
 }  // namespace

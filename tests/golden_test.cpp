@@ -98,11 +98,11 @@ std::string render_golden(const char* workload_name, double write_ratio,
 }
 
 // Fleet-layer tripwire: four small fleets (plain, and one per outage
-// policy) with every deterministic FleetResult aggregate pinned. These are
-// exactly the configurations the replica/migration layer must leave
-// untouched: replication left at its R=1 / kPrimaryOnly / no-migration
-// default takes the legacy code path, and this fixture is what "bit-identical
-// to the pre-replica fleet" means.
+// policy) with every deterministic FleetResult aggregate and each shard's
+// requests:measured_reads:elapsed:events:failed_reads:retries pinned. The
+// fleets run at the default R=1 / kPrimaryOnly through the ReplicaRouter,
+// so this fixture pins the router's outage rules (fail-fast reject,
+// retry-backoff defer and replay, reroute around the ring) bit for bit.
 std::string render_golden_fleet() {
   constexpr std::uint64_t kFleetWarmup = 600;
   constexpr std::uint64_t kFleetRequests = 1'200;
@@ -257,10 +257,9 @@ TEST(GoldenTrace, WriteMixAtExplicitPageMuMatchesFixture) {
       GOLDEN_MU_TRACE_PATH);
 }
 
-// Fleet fixture: pins the legacy (replica-free) fleet path — partitioned
-// routing, all three outage policies, merge aggregates — so the replica /
-// migration layer's "degenerate config changes nothing" claim is checked
-// against bits on disk, not against a same-binary rerun.
+// Fleet fixture: pins the unreplicated fleet — partitioned routing, all
+// three outage policies, merge aggregates — against bits on disk, not
+// against a same-binary rerun.
 TEST(GoldenTrace, FleetMatchesCheckedInFixture) {
   check_against_fixture(render_golden_fleet(), GOLDEN_FLEET_TRACE_PATH);
 }

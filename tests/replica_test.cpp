@@ -1,5 +1,5 @@
-// Tests for the replica/rebalancing layer: degenerate-config identity with
-// the legacy fleet, jobs-1 == jobs-N under failover, policy semantics
+// Tests for the replica/rebalancing layer: one-copy policy identity,
+// jobs-1 == jobs-N under failover, policy semantics
 // (primary-only cliff, warm-standby failover, quorum first-k-of-R), shadow
 // reads, catch-up writes + the stale-read == 0 invariant, and live
 // resharding with dual-read cutover.
@@ -43,49 +43,23 @@ std::uint64_t metric(const FleetResult& r, const char* name) {
   return r.metrics.value(name);
 }
 
-// R=1 kFailover with no faults routes through the replica machinery but
-// must reproduce the legacy single-copy fleet exactly: same per-machine
-// simulations, same composed aggregates. (The fully degenerate config —
-// R=1 kPrimaryOnly — takes the legacy code path itself and is pinned by the
-// golden fleet fixture; this test pins the replica path against it.)
-TEST(Replica, DegenerateReplicaPathMatchesLegacyFleet) {
+// With one copy per group and no faults the read policy has nothing to
+// decide: R=1 kFailover must reproduce R=1 kPrimaryOnly exactly — every
+// machine's simulation, every composed aggregate and the fleet.* router
+// metrics, which deterministic_equal() compares as part of the registry.
+TEST(Replica, OneCopyFailoverMatchesPrimaryOnlyWithoutFaults) {
   const RunConfig rc{1200, 600};
-  FleetConfig legacy_cfg = replica_fleet(3, 1, ReadPolicy::kPrimaryOnly);
-  FleetRunner legacy(legacy_cfg, synth_factory('C', Distribution::kZipf, 0.2),
-                     kSeed);
-  FleetConfig repl_cfg = replica_fleet(3, 1, ReadPolicy::kFailover);
-  FleetRunner replicated(repl_cfg,
-                         synth_factory('C', Distribution::kZipf, 0.2), kSeed);
+  const auto factory = synth_factory('C', Distribution::kZipf, 0.2);
+  const FleetResult a =
+      FleetRunner(replica_fleet(3, 1, ReadPolicy::kPrimaryOnly), factory,
+                  kSeed)
+          .run(rc, /*jobs=*/1);
+  const FleetResult b =
+      FleetRunner(replica_fleet(3, 1, ReadPolicy::kFailover), factory, kSeed)
+          .run(rc, /*jobs=*/1);
 
-  const FleetResult a = legacy.run(rc, /*jobs=*/1);
-  const FleetResult b = replicated.run(rc, /*jobs=*/1);
-
-  ASSERT_EQ(a.shard_results.size(), b.shard_results.size());
-  for (std::size_t s = 0; s < a.shard_results.size(); ++s) {
-    EXPECT_EQ(a.shard_results[s].Deterministic(),
-              b.shard_results[s].Deterministic())
-        << "machine " << s;
-  }
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.measured_reads, b.measured_reads);
-  EXPECT_EQ(a.bytes_requested, b.bytes_requested);
-  EXPECT_EQ(a.traffic_bytes, b.traffic_bytes);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.failed_reads, b.failed_reads);
-  EXPECT_EQ(a.degraded_reads, b.degraded_reads);
-  EXPECT_EQ(a.down_requests, b.down_requests);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.latency, b.latency);
-  EXPECT_EQ(a.mean_latency_us, b.mean_latency_us);
-  EXPECT_EQ(a.p50_latency_us, b.p50_latency_us);
-  EXPECT_EQ(a.p99_latency_us, b.p99_latency_us);
-  EXPECT_EQ(a.p999_latency_us, b.p999_latency_us);
-  EXPECT_EQ(a.max_shard_requests, b.max_shard_requests);
-  EXPECT_EQ(a.min_shard_requests, b.min_shard_requests);
-  EXPECT_EQ(a.mean_shard_requests, b.mean_shard_requests);
-  EXPECT_EQ(a.load_imbalance, b.load_imbalance);
-  EXPECT_EQ(a.hottest_shard, b.hottest_shard);
+  EXPECT_TRUE(deterministic_equal(a, b));
+  EXPECT_EQ(a.measured_reads, metric(a, "fleet.replica_client_reads"));
   EXPECT_EQ(metric(b, "fleet.replica_stale_reads"), 0u);
 }
 
@@ -283,6 +257,31 @@ TEST(Replica, WholeGroupDownWindowFailsCleanlyOrReroutes) {
   EXPECT_EQ(b.failed_reads, 0u);
   EXPECT_DOUBLE_EQ(b.availability(), 1.0);
   EXPECT_GT(b.metrics.value("fleet.replica_failover_reads"), 0u);
+}
+
+// Retry-backoff with the whole group down: the reads go to the group's
+// primary as deferrals, replay there once it is back, and are charged the
+// client's backoff ladder on that machine — availability holds at 1, the
+// same rule an unreplicated fleet follows.
+TEST(Replica, WholeGroupDownDefersToThePrimaryUnderRetryBackoff) {
+  FleetConfig fleet = replica_fleet(2, 2, ReadPolicy::kFailover);
+  fleet.faults.policy = DownShardPolicy::kRetryBackoff;
+  fleet.faults.outages = {
+      {/*shard=*/0, /*fail_at=*/900, /*recover_at=*/1300, /*replica=*/0},
+      {/*shard=*/0, /*fail_at=*/900, /*recover_at=*/1300, /*replica=*/1}};
+  FleetRunner runner(fleet, synth_factory('C', Distribution::kZipf), kSeed);
+  const FleetResult r = runner.run({1200, 600}, /*jobs=*/1);
+
+  const std::uint64_t deferred = metric(r, "fleet.replica_unserved_reads");
+  EXPECT_GT(deferred, 0u);
+  EXPECT_EQ(r.failed_reads, 0u);
+  EXPECT_DOUBLE_EQ(r.availability(), 1.0);
+  EXPECT_EQ(r.down_requests, deferred);
+  EXPECT_EQ(r.shard_results[0].down_requests, deferred);
+  EXPECT_EQ(r.shard_results[0].retries,
+            deferred * fleet.faults.retry_attempts);
+  EXPECT_EQ(r.shard_results[1].retries, 0u);
+  EXPECT_TRUE(deterministic_equal(r, runner.run({1200, 600}, /*jobs=*/4)));
 }
 
 }  // namespace
