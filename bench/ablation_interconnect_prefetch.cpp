@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
   std::vector<ExperimentCell> cells;
   for (const CellSpec& spec : specs) {
     MachineConfig config = default_machine_for(args, PathKind::kPipette);
-    config.interconnect = spec.interconnect;
+    config.ssd.interconnect = spec.interconnect;
     config.prefetch.enabled = spec.prefetch;
     const std::string wl = spec.workload;
     const std::uint64_t seed = args.seed;

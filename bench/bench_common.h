@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/parallel.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
 #include "sim/experiment.h"
 #include "workload/synthetic.h"
 
@@ -42,7 +42,8 @@ struct Scale {
 /// runs stay bit-identical to history.
 inline void apply_fine_path_flags(const BenchArgs& args,
                                   MachineConfig& config) {
-  if (args.interconnect == "lmb") config.interconnect = InterconnectKind::kLmb;
+  if (args.interconnect == "lmb")
+    config.ssd.interconnect = InterconnectKind::kLmb;
   if (args.prefetch) config.prefetch.enabled = true;  // Pipette kinds only;
                                                       // shaped() gates it
   if (args.mapping_unit != 0) config.mapping_unit = args.mapping_unit;
@@ -134,7 +135,7 @@ inline std::map<char, Column> run_synthetic_matrix(
                "  [host] %zu cells in %.1fs wall (%.1fs of cell time, "
                "jobs=%u -> %.1fx)\n",
                results.size(), wall, cell_seconds,
-               jobs == 0 ? ThreadPool::default_threads() : jobs,
+               jobs == 0 ? default_threads() : jobs,
                wall > 0.0 ? cell_seconds / wall : 0.0);
   return out;
 }

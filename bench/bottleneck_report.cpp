@@ -123,7 +123,7 @@ MachineConfig die_machine(const BenchArgs& args) {
 // every speculative fill) crosses the dedicated LMB link each wrap.
 MachineConfig link_machine(const BenchArgs& args) {
   MachineConfig c = default_machine_for(args, PathKind::kPipette);
-  c.interconnect = InterconnectKind::kLmb;
+  c.ssd.interconnect = InterconnectKind::kLmb;
   c.prefetch.enabled = true;
   c.page_cache_bytes = 1 * kMiB;
   c.ssd.hmb.data_bytes = 64 * kKiB;

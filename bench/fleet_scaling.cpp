@@ -10,21 +10,22 @@
 //    of skew: the hottest shard serves disproportionate traffic, and with
 //    --partition range the spatially clustered zipf head lands on one
 //    shard, dragging the whole fleet's tail with it.
-//  * The cores sweep measures *host* scaling: shard→worker pinning hands
-//    each worker a fixed ascending slice of shards and one reusable
-//    RunArena, so host events/sec should grow with cores until
-//    cores == shards. Every combo is asserted bit-identical to its jobs-1
-//    run — parallelism and pinning are never allowed to change results.
+//  * The cores sweep measures *host* scaling: worker threads claim machines
+//    one at a time (parallel_for), so host events/sec should grow with
+//    cores until cores == shards. Every combo is asserted bit-identical to
+//    its jobs-1 run — parallelism is never allowed to change results.
 //
-// Extra flags on top of the common set: --shards N (default: sweep 1,2,4,8),
-// --partition hash|range, and --no-cores-sweep to skip the cores × shards
-// section. --json writes the BENCH_fleet.json summary (per-cell host_seconds
+// Extra flags on top of the common set: --shards N (N >= 1; default: sweep
+// 1,2,4,8), --partition hash|range, and --no-cores-sweep to skip the
+// cores × shards section. A malformed value is a usage error (exit 2). --json writes the BENCH_fleet.json summary (per-cell host_seconds
 // and events_executed, plus the cores_sweep section) for perf tracking.
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <vector>
 
 #include "bench_common.h"
-#include "common/thread_pool.h"
+#include "common/parallel.h"
 #include "fleet/fleet.h"
 
 using namespace pipette;
@@ -93,9 +94,8 @@ void write_fleet_json(const BenchArgs& args, PartitionScheme partition,
     w.end_object();
   }
   w.end_array();
-  // Host-throughput scaling with worker threads (shard→worker pinning on;
-  // every combo verified bit-identical to its jobs-1 run before landing
-  // here).
+  // Host-throughput scaling with worker threads (every combo verified
+  // bit-identical to its jobs-1 run before landing here).
   w.key("cores_sweep");
   w.begin_array();
   for (const CoresCell& c : cores_cells) {
@@ -124,13 +124,26 @@ int main(int argc, char** argv) {
       argc, argv,
       [&](const char* flag, const BenchArgs::ValueFn& value) {
         if (std::strcmp(flag, "--shards") == 0) {
-          shards_flag = std::strtoull(value(), nullptr, 10);
+          shards_flag = parse_unsigned("--shards", value());
+          if (shards_flag == 0) {
+            std::fprintf(stderr, "pipette: --shards must be at least 1\n");
+            std::exit(2);
+          }
           return true;
         }
         if (std::strcmp(flag, "--partition") == 0) {
-          partition = std::strcmp(value(), "range") == 0
-                          ? PartitionScheme::kRange
-                          : PartitionScheme::kHash;
+          const char* scheme = value();
+          if (std::strcmp(scheme, "hash") == 0) {
+            partition = PartitionScheme::kHash;
+          } else if (std::strcmp(scheme, "range") == 0) {
+            partition = PartitionScheme::kRange;
+          } else {
+            std::fprintf(stderr,
+                         "pipette: --partition must be hash or range (got "
+                         "%s)\n",
+                         scheme);
+            std::exit(2);
+          }
           return true;
         }
         if (std::strcmp(flag, "--no-cores-sweep") == 0) {
@@ -222,13 +235,12 @@ int main(int argc, char** argv) {
   std::vector<CoresCell> cores_cells;
   if (cores_sweep) {
     // Worker counts are thread counts, not physical cores: sweeping past
-    // hardware concurrency still validates pinning + determinism and shows
+    // hardware concurrency still validates determinism and shows
     // the (flat or negative) oversubscription regime on small hosts.
     const std::vector<unsigned> core_counts{1, 2, 4, 8};
-    const unsigned hw = ThreadPool::default_threads();
+    const unsigned hw = default_threads();
     std::printf("(hardware concurrency: %u)\n", hw);
-    std::printf("-- cores x shards: host Mevents/s (Pipette, uniform; "
-                "pinned workers) --\n");
+    std::printf("-- cores x shards: host Mevents/s (Pipette, uniform) --\n");
     std::vector<std::string> headers{"Cores"};
     for (std::size_t shards : shard_counts)
       headers.push_back("x" + std::to_string(shards));

@@ -5,10 +5,10 @@
 //
 //   $ ./examples/embedding_server [lookups]
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
+#include "common/table.h"
 #include "sim/machine.h"
 #include "workload/recsys.h"
 
@@ -61,7 +61,7 @@ Served serve(PathKind kind, std::uint64_t lookups) {
 
 int main(int argc, char** argv) {
   const std::uint64_t lookups =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 500'000;
+      argc > 1 ? parse_unsigned("lookups", argv[1]) : 500'000;
 
   std::printf("Serving %llu embedding lookups (128 B vectors)...\n\n",
               static_cast<unsigned long long>(lookups));

@@ -5,10 +5,10 @@
 //
 //   $ ./examples/social_graph [operations]
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
+#include "common/table.h"
 #include "sim/machine.h"
 #include "workload/linkbench.h"
 
@@ -16,7 +16,7 @@ using namespace pipette;
 
 int main(int argc, char** argv) {
   const std::uint64_t operations =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 200'000;
+      argc > 1 ? parse_unsigned("operations", argv[1]) : 200'000;
 
   LinkBenchConfig lc;
   lc.node_count = 1 << 18;  // demo-sized graph

@@ -73,12 +73,10 @@ std::string csv_escape(const std::string& s) {
   out += '"';
   return out;
 }
+}  // namespace
 
-/// A flag's value as a decimal integer in [0, max]. Empty input, a sign,
-/// trailing characters or overflow are usage errors (exit 2).
-std::uint64_t parse_unsigned(
-    const char* flag, const char* text,
-    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+std::uint64_t parse_unsigned(const char* flag, const char* text,
+                             std::uint64_t max) {
   const char* end = text + std::strlen(text);
   std::uint64_t value = 0;
   const auto [ptr, ec] = std::from_chars(text, end, value);
@@ -91,7 +89,6 @@ std::uint64_t parse_unsigned(
   }
   return value;
 }
-}  // namespace
 
 std::string Table::to_csv() const {
   std::string out;

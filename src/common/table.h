@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,14 @@ class Table {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
+
+/// A flag's value as a decimal integer in [0, max]. Empty input, a sign,
+/// trailing characters or overflow are usage errors: prints the flag name
+/// and exits with status 2. Bench-specific flags and example arguments use
+/// it too, so every numeric command-line value is parsed the same way.
+std::uint64_t parse_unsigned(
+    const char* flag, const char* text,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 /// Parses the common bench CLI: --csv <path>, --json <path>, --requests N,
 /// --quick, --seed S, --jobs N, --interconnect hmb|lmb, --prefetch,

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <future>
 #include <tuple>
 #include <utility>
 
 #include "common/assert.h"
+#include "common/parallel.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 
 namespace pipette {
 
@@ -142,7 +141,7 @@ FleetResult FleetRunner::run(const RunConfig& run, unsigned jobs) const {
   std::vector<ClientTally> tallies(machines);
   std::vector<RunResult> machine_results(machines);
 
-  auto run_machine = [&](std::size_t m, RunArena& arena) {
+  auto run_machine = [&](std::size_t m) {
     std::unique_ptr<Workload> master = make_workload_(seed_);
     PIPETTE_ASSERT_MSG(master != nullptr, "fleet workload factory failed");
     const Partitioner part(config_.partition, groups, master->files());
@@ -227,7 +226,7 @@ FleetResult FleetRunner::run(const RunConfig& run, unsigned jobs) const {
           return false;  // device-only work, issued as is
       }
     };
-    RunResult result = run_experiment_on(machine, sub, plans[m], hooks, &arena);
+    RunResult result = run_experiment_on(machine, sub, plans[m], hooks);
     // Deferrals still parked when the stream ends (recovery lies beyond the
     // run) exhausted their backoff ladder without an answer: failures.
     for (const Deferred& d : deferred) {
@@ -242,30 +241,9 @@ FleetResult FleetRunner::run(const RunConfig& run, unsigned jobs) const {
     machine_results[m] = std::move(result);
   };
 
-  // Cache-local execution: machine m is pinned to worker m % workers, and
-  // each worker runs its machines in ascending order against one RunArena,
-  // so scratch pools stay warm in that worker's cache across machines. The
-  // assignment is a pure function of (machines, workers) — never of timing
-  // — so jobs-1 and jobs-N runs stay bit-identical.
-  if (jobs == 0) jobs = ThreadPool::default_threads();
-  const std::size_t workers = std::min<std::size_t>(jobs, machines);
-  if (workers <= 1) {
-    RunArena arena;
-    for (std::size_t m = 0; m < machines; ++m) run_machine(m, arena);
-  } else {
-    ThreadPool pool(static_cast<unsigned>(workers));
-    std::vector<RunArena> arenas(workers);
-    std::vector<std::future<void>> pending;
-    pending.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pending.push_back(
-          pool.submit([&run_machine, &arenas, w, workers, machines] {
-            for (std::size_t m = w; m < machines; m += workers)
-              run_machine(m, arenas[w]);
-          }));
-    }
-    for (std::future<void>& f : pending) f.get();  // rethrows task failures
-  }
+  // Machines share no mutable state, so which thread runs which machine
+  // (and in what order) cannot change any result.
+  parallel_for(machines, jobs, run_machine);
 
   // Client-side composition: serial, pure arithmetic. Per-machine
   // histograms merge bucket-wise. Quorum legs are pooled, grouped by master

@@ -14,7 +14,7 @@
 //  * FleetRunner — builds one Machine (and with it a private Simulator) per
 //                  copy of every shard, feeds each the sub-stream the
 //                  ReplicaRouter (fleet/replica.h) assigns it, fans the
-//                  machines across a ThreadPool and aggregates a
+//                  machines out with parallel_for() and aggregates a
 //                  FleetResult. There is one run path; an unreplicated
 //                  fleet is simply R=1.
 //

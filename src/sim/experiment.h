@@ -4,8 +4,8 @@
 //
 // Every cell (one machine + one workload + one run length) is fully
 // self-contained and deterministically seeded, so a matrix of cells is
-// embarrassingly parallel: run_experiments_parallel() fans cells across a
-// thread pool and returns results bit-identical to running them serially.
+// embarrassingly parallel: run_experiments_parallel() fans cells out with
+// parallel_for() and returns results bit-identical to running them serially.
 #pragma once
 
 #include <cstdint>
@@ -149,36 +149,12 @@ struct RunHooks {
 
 /// The same warmup + measurement flow on a caller-owned machine. This is
 /// what the fleet layer drives: each fleet machine (and with it a private
-/// Simulator) gets its own sub-stream pushed through it. The machine is
-/// expected to be freshly built for `workload.files()`; reusing a machine
+/// Simulator) gets its own sub-stream pushed through it, with
+/// `hooks.on_request` (when set) wrapping every issued request. The machine
+/// is expected to be freshly built for `workload.files()`; reusing a machine
 /// across runs measures the second run against pre-warmed caches.
 RunResult run_experiment_on(Machine& machine, Workload& workload,
-                            const RunConfig& run);
-
-/// Hooked variant; `hooks.on_request` (when set) wraps every issued request.
-RunResult run_experiment_on(Machine& machine, Workload& workload,
-                            const RunConfig& run, const RunHooks& hooks);
-
-/// Reusable per-worker scratch for back-to-back runs on one thread (the
-/// fleet's pinned workers hand the same arena to every shard they run).
-/// Everything in here is capacity, not simulated state: the run clears each
-/// buffer before use and machines only ever see empty pools, so passing an
-/// arena changes allocation behaviour — one warm-up per worker instead of
-/// one per shard — and nothing else.
-struct RunArena {
-  std::vector<std::uint8_t> io_buf;             // request bounce buffer
-  std::vector<int> fds;                         // per-run fd table
-  LatencyHistogram warmup_latency;              // warmup snapshot scratch
-  std::vector<LatencyHistogram> warmup_stages;  // traced warmup snapshot
-  std::vector<LbaRange> lba_scratch;            // LBA-extractor scratch
-  std::vector<std::vector<FgRange>> fg_ranges;  // controller FgRange pool
-};
-
-/// Arena variant: identical results to the plain overloads (bit-for-bit,
-/// asserted by fleet_test), reusing `arena`'s capacity when non-null.
-RunResult run_experiment_on(Machine& machine, Workload& workload,
-                            const RunConfig& run, const RunHooks& hooks,
-                            RunArena* arena);
+                            const RunConfig& run, const RunHooks& hooks = {});
 
 /// One independent cell of an experiment matrix. The workload is constructed
 /// *inside* the task (each cell gets a fresh, deterministically seeded
@@ -194,7 +170,7 @@ struct ExperimentCell {
 using CellDoneFn = std::function<void(std::size_t, const RunResult&)>;
 
 /// Run every cell and return results in cell order. `jobs` = worker threads
-/// (0 = hardware concurrency, 1 = legacy serial path with no pool). Results
+/// (0 = hardware concurrency, 1 = serial on the caller's thread). Results
 /// are bit-identical to the serial runner at any job count, except
 /// RunResult::host_seconds.
 std::vector<RunResult> run_experiments_parallel(

@@ -24,7 +24,6 @@ namespace {
 
 MachineConfig shaped(const MachineConfig& in) {
   MachineConfig config = in;
-  config.ssd.interconnect = config.interconnect;
   if (config.mapping_unit != 0)
     config.ssd.mapping_unit = config.mapping_unit;
   // Non-Pipette machines need no FGRC space in the HMB; shrink it so the
@@ -42,7 +41,7 @@ MachineConfig shaped(const MachineConfig& in) {
     config.pipette.prefetch = config.prefetch;
     config.pipette.prefetch.enabled =
         config.prefetch.enabled && config.kind == PathKind::kPipette;
-    if (config.interconnect == InterconnectKind::kLmb) {
+    if (config.ssd.interconnect == InterconnectKind::kLmb) {
       // The buffer region lives on the CXL device: the host DRAM it used
       // to occupy goes back to the page cache (the memory-footprint story
       // of CXL-resident buffers — see DESIGN.md on LMB calibration).
@@ -107,21 +106,6 @@ TwoBSsdPath* Machine::twob_path() {
           config_.kind == PathKind::kTwoBDma)
              ? static_cast<TwoBSsdPath*>(path_.get())
              : nullptr;
-}
-
-void Machine::adopt_scratch(std::vector<LbaRange>&& lba,
-                            std::vector<std::vector<FgRange>>&& fg_pool) {
-  if (PipettePath* p = pipette_path()) p->adopt_lba_scratch(std::move(lba));
-  ssd_->adopt_fg_range_pool(std::move(fg_pool));
-}
-
-void Machine::release_scratch(std::vector<LbaRange>& lba,
-                              std::vector<std::vector<FgRange>>& fg_pool) {
-  if (PipettePath* p = pipette_path()) {
-    std::vector<LbaRange> got = p->release_lba_scratch();
-    if (got.capacity() > lba.capacity()) lba = std::move(got);
-  }
-  fg_pool = ssd_->release_fg_range_pool();
 }
 
 PageCache* Machine::page_cache() {

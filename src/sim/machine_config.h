@@ -44,17 +44,16 @@ inline constexpr PathKind kAllPaths[] = {
 
 struct MachineConfig {
   PathKind kind = PathKind::kBlockIo;
+  /// The device. `ssd.interconnect` picks the link carrying fine-grained
+  /// fills; with kLmb the buffer lives on the CXL device, so its data-area
+  /// bytes stop stealing host DRAM — shaped() returns that budget to the
+  /// page cache.
   ControllerConfig ssd;
   HostTiming host;
   /// FTL mapping unit in bytes (512 <= MU <= page, must divide the page).
   /// 0 keeps the device's page-granular mapping — the golden-pinned
   /// default; shaped() forwards a nonzero value to ControllerConfig.
   std::uint32_t mapping_unit = 0;
-  /// Link carrying fine-grained fills: PCIe DMA into host DRAM (kHmb, the
-  /// paper's baseline) or a CXL-linked memory buffer (kLmb). With kLmb the
-  /// buffer lives on the CXL device, so its data-area bytes stop stealing
-  /// host DRAM — shaped() returns that budget to the page cache.
-  InterconnectKind interconnect = InterconnectKind::kHmb;
   /// Speculative readahead on the fine path (Pipette-with-cache only).
   PrefetchConfig prefetch;
   std::uint64_t page_cache_bytes = 160ull * 1024 * 1024;

@@ -129,18 +129,6 @@ std::vector<FgRange> SsdController::take_fg_ranges() {
   return out;
 }
 
-void SsdController::adopt_fg_range_pool(
-    std::vector<std::vector<FgRange>>&& pool) {
-  // Keep whichever pool is warmer; spares are empty either way.
-  if (pool.size() > fg_range_pool_.size()) fg_range_pool_ = std::move(pool);
-}
-
-std::vector<std::vector<FgRange>> SsdController::release_fg_range_pool() {
-  std::vector<std::vector<FgRange>> out = std::move(fg_range_pool_);
-  fg_range_pool_.clear();
-  return out;
-}
-
 void SsdController::recycle_fg_ranges(std::vector<FgRange>&& ranges) {
   if (ranges.capacity() == 0) return;
   ranges.clear();
@@ -165,7 +153,8 @@ void SsdController::complete(Completion& done, CommandResult result) {
                 [done = std::move(done), result]() { done(result); });
 }
 
-std::uint32_t SsdController::acquire_stage_slot(StageCallback ready) {
+std::uint32_t SsdController::acquire_stage_slot(StageCallback ready,
+                                                std::uint32_t pending) {
   std::uint32_t slot;
   if (!stage_free_.empty()) {
     slot = stage_free_.back();
@@ -176,7 +165,7 @@ std::uint32_t SsdController::acquire_stage_slot(StageCallback ready) {
   }
   stage_slots_[slot].ready = std::move(ready);
   stage_slots_[slot].ok = true;
-  stage_slots_[slot].pending = 1;
+  stage_slots_[slot].pending = pending;
   return slot;
 }
 
@@ -192,34 +181,17 @@ void SsdController::stage_page(Lba lba, StageCallback ready,
     stats_.read_buffer.record(false);
   }
   ftl_.note_read();
-  if (ftl_.slots_per_page() == 1) {
-    const PhysPageAddr addr = ftl_.lookup(lba);
-    // Park `ready` (itself a full-size callback) in a pooled slot so the
-    // NAND completion closure does not nest one callback inside another.
-    const std::uint32_t slot = acquire_stage_slot(std::move(ready));
-    const NandReadOutcome outcome =
-        nand_.read_page(addr, [this, lba, slot, use_buffer]() {
-          StageSlot& parked = stage_slots_[slot];
-          const bool ok = parked.ok;
-          if (ok && use_buffer) read_buffer_.insert(lba, 0);
-          StageCallback ready = std::move(parked.ready);
-          stage_free_.push_back(slot);
-          ready(ok);
-        });
-    if (outcome.failed) {
-      stage_slots_[slot].ok = false;
-      ++stats_.media_errors;
-    }
-    return;
-  }
-  // MU-mapped device: partial writes may have scattered the LBA's MUs over
-  // several physical pages. Sense every holder (each transferring only its
-  // MUs' bytes) and fan the reads into the parked slot; the page counts as
-  // staged when the last one lands.
+  // Sense every physical page holding one of the LBA's MUs (each
+  // transferring only its MUs' bytes) and fan the reads into a pooled slot;
+  // the page counts as staged when the last one lands. On a page-mapped
+  // device, and on an MU device whose LBA was never partially rewritten,
+  // that is one full-page read. Parking `ready` (itself a full-size
+  // callback) in the slot keeps the NAND completion closure from nesting
+  // one callback inside another.
   ftl_.lookup_pages(lba, stage_pages_scratch_);
-  const std::uint32_t slot = acquire_stage_slot(std::move(ready));
-  stage_slots_[slot].pending =
-      static_cast<std::uint32_t>(stage_pages_scratch_.size());
+  const std::uint32_t slot = acquire_stage_slot(
+      std::move(ready),
+      static_cast<std::uint32_t>(stage_pages_scratch_.size()));
   for (const MuPageRead& r : stage_pages_scratch_) {
     const NandReadOutcome outcome =
         nand_.read_page(r.addr, [this, lba, slot, use_buffer]() {

@@ -172,13 +172,6 @@ class SsdController {
   /// account; obs/util.h).
   OccupancyIntegrator& gc_buffer_occupancy() { return gc_buffer_occ_; }
 
-  /// Worker-arena support (cache-local fleet execution): donate a warm
-  /// FgRange pool before a shard run / reclaim it afterwards, so one
-  /// worker's pool capacity serves every shard it runs. Pools hold only
-  /// empty spare vectors, so adoption cannot change simulated behaviour.
-  void adopt_fg_range_pool(std::vector<std::vector<FgRange>>&& pool);
-  std::vector<std::vector<FgRange>> release_fg_range_pool();
-
  private:
   // Every lambda the controller schedules on the simulator must stay under
   // the Simulator::Callback small-buffer limit, or each event heap-allocates
@@ -238,7 +231,7 @@ class SsdController {
   BlockJob* acquire_block_job(Command cmd, Completion done);
   void finish_block_job(BlockJob* job, CmdStatus status);
 
-  std::uint32_t acquire_stage_slot(StageCallback ready);
+  std::uint32_t acquire_stage_slot(StageCallback ready, std::uint32_t pending);
 
   Simulator& sim_;
   ControllerConfig config_;
@@ -274,11 +267,12 @@ class SsdController {
   // carries the read's verdict: read_page() decides success at submission,
   // the parked continuation observes it at completion. With MU < page an
   // LBA's mapping units may sit on several physical pages, so the slot
-  // fans in `pending` NAND reads before running `ready`.
+  // fans in `pending` NAND reads (one when they share a page) before
+  // running `ready`.
   struct StageSlot {
     StageCallback ready;
     bool ok = true;
-    std::uint32_t pending = 1;
+    std::uint32_t pending = 0;
   };
   std::vector<StageSlot> stage_slots_;
   std::vector<std::uint32_t> stage_free_;

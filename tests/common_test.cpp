@@ -5,22 +5,22 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <future>
 #include <limits>
 #include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/inline_function.h"
 #include "common/json.h"
 #include "common/lru.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
 #include "common/zipf.h"
 
 namespace pipette {
@@ -276,43 +276,51 @@ TEST(LatencyHistogram, SubtractionInPlaceAndEdgeCases) {
   EXPECT_EQ(h.percentile(99), 0u);
 }
 
-// --- ThreadPool ---
+// --- parallel_for ---
 
-TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> ran{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 64; ++i)
-    futures.push_back(pool.submit([&ran] { ++ran; }));
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(ran.load(), 64);
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  // n == 0, serial (jobs 1), jobs < n, jobs == n and jobs > n.
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                              std::size_t{20}}) {
+    for (const unsigned jobs : {1u, 3u, 7u, 100u}) {
+      std::vector<std::atomic<int>> visits(n);
+      parallel_for(n, jobs, [&](std::size_t i) { ++visits[i]; });
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(visits[i].load(), 1) << "n=" << n << " jobs=" << jobs
+                                       << " i=" << i;
+    }
+  }
 }
 
-TEST(ThreadPool, DestructorDrainsPendingTasks) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 32; ++i) pool.submit([&ran] { ++ran; });
-  }  // ~ThreadPool joins after the queue is empty
-  EXPECT_EQ(ran.load(), 32);
+TEST(ParallelFor, SerialRunIsInIndexOrderOnTheCallersThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  parallel_for(5, 1, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
-TEST(ThreadPool, ExceptionsPropagateThroughFutures) {
-  ThreadPool pool(2);
-  auto ok = pool.submit([] {});
-  auto bad = pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_NO_THROW(ok.get());
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  // The worker survives a throwing task.
-  auto after = pool.submit([] {});
-  EXPECT_NO_THROW(after.get());
+TEST(ParallelFor, FirstExceptionIsRethrownAfterEveryThreadJoins) {
+  constexpr std::size_t kN = 32;
+  std::atomic<int> finished{0};
+  auto run = [&] {
+    parallel_for(kN, 4, [&](std::size_t i) {
+      if (i == 3) throw std::runtime_error("task failed");
+      ++finished;
+    });
+  };
+  EXPECT_THROW(run(), std::runtime_error);
+  // Every other index ran to completion before the call returned.
+  EXPECT_EQ(finished.load(), static_cast<int>(kN) - 1);
 }
 
-TEST(ThreadPool, AtLeastOneWorkerEvenWhenAskedForZero) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-  EXPECT_GE(ThreadPool::default_threads(), 1u);
+TEST(ParallelFor, ZeroJobsMeansHardwareConcurrency) {
+  EXPECT_GE(default_threads(), 1u);
+  std::vector<std::atomic<int>> visits(16);
+  parallel_for(visits.size(), 0, [&](std::size_t i) { ++visits[i]; });
+  for (const std::atomic<int>& v : visits) EXPECT_EQ(v.load(), 1);
 }
 
 // --- Pattern bytes ---

@@ -243,7 +243,7 @@ MachineConfig pipette_machine(bool prefetch,
                               InterconnectKind ic = InterconnectKind::kHmb) {
   MachineConfig m = default_machine(PathKind::kPipette);
   m.prefetch.enabled = prefetch;
-  m.interconnect = ic;
+  m.ssd.interconnect = ic;
   return m;
 }
 
@@ -301,11 +301,33 @@ TEST(Interconnect, LmbHasDistinctTimingAndReclaimsHostDram) {
             hmb_machine.page_cache()->capacity_pages());
 }
 
+// The device field is the one interconnect setting: setting it alone must
+// reach the controller (fills cross the LMB link) and shaped() (the data
+// area's bytes go back to the page cache), with nothing copied over it.
+TEST(Interconnect, DeviceFieldAloneSelectsLmb) {
+  MachineConfig hmb_cfg = default_machine(PathKind::kPipette);
+  MachineConfig lmb_cfg = hmb_cfg;
+  lmb_cfg.ssd.interconnect = InterconnectKind::kLmb;
+  StridedWorkload hw(small_strided());
+  StridedWorkload lw(small_strided());
+  Machine hmb(hmb_cfg, hw.files());
+  Machine lmb(lmb_cfg, lw.files());
+  EXPECT_EQ(lmb.ssd().config().interconnect, InterconnectKind::kLmb);
+  EXPECT_EQ((lmb.page_cache()->capacity_pages() -
+             hmb.page_cache()->capacity_pages()) *
+                kBlockSize,
+            lmb_cfg.ssd.hmb.data_bytes);
+
+  const RunResult r = run_experiment_on(lmb, lw, {500, 250});
+  EXPECT_GT(r.metrics.value("lmb.dma_transfers"), 0u);
+  EXPECT_GT(r.metrics.value("lmb.dma_bytes"), 0u);
+}
+
 TEST(Interconnect, LmbWorksOnEveryPipetteKind) {
   const RunConfig rc{500, 250};
   for (PathKind kind : kAllPaths) {
     MachineConfig m = default_machine(kind);
-    m.interconnect = InterconnectKind::kLmb;
+    m.ssd.interconnect = InterconnectKind::kLmb;
     SyntheticConfig sc = table1_workload('C', Distribution::kUniform, 42);
     sc.file_size = 8 * kMiB;
     SyntheticWorkload w(sc);
@@ -382,7 +404,7 @@ TEST(PrefetchOffIdentity, ExplicitHmbPrefetchOffMatchesDefaults) {
     const RunResult base = run_experiment(default_machine(kind), dw, rc);
 
     MachineConfig explicit_cfg = default_machine(kind);
-    explicit_cfg.interconnect = InterconnectKind::kHmb;
+    explicit_cfg.ssd.interconnect = InterconnectKind::kHmb;
     explicit_cfg.prefetch.enabled = false;
     SyntheticWorkload ew(sc);
     const RunResult spelled = run_experiment(explicit_cfg, ew, rc);
