@@ -127,16 +127,18 @@ inline std::map<char, Column> run_synthetic_matrix(
 
   std::map<char, Column> out;
   double cell_seconds = 0.0;
+  double build_seconds = 0.0;
   for (std::size_t i = 0; i < results.size(); ++i) {
     out[labels[i].first][labels[i].second] = results[i];
     cell_seconds += results[i].host_seconds;
+    build_seconds += results[i].build_seconds;
   }
   std::fprintf(stderr,
-               "  [host] %zu cells in %.1fs wall (%.1fs of cell time, "
-               "jobs=%u -> %.1fx)\n",
-               results.size(), wall, cell_seconds,
+               "  [host] %zu cells in %.1fs wall (%.1fs of cell time + "
+               "%.1fs of machine builds, jobs=%u -> %.1fx)\n",
+               results.size(), wall, cell_seconds, build_seconds,
                jobs == 0 ? default_threads() : jobs,
-               wall > 0.0 ? cell_seconds / wall : 0.0);
+               wall > 0.0 ? (cell_seconds + build_seconds) / wall : 0.0);
   return out;
 }
 
@@ -183,9 +185,9 @@ inline void json_metrics(JsonWriter& w, std::string_view key,
 }
 
 /// Machine-readable run summary (--json): per-cell host_seconds,
-/// events_executed and the component metrics registry, so the DES core's
-/// throughput is tracked across PRs (see EXPERIMENTS.md "Host-cost
-/// tracking").
+/// build_seconds, events_executed and the component metrics registry, so
+/// the DES core's throughput is tracked across PRs (see EXPERIMENTS.md
+/// "Host-cost tracking").
 inline void write_json_summary(const BenchArgs& args, const char* bench,
                                const std::map<char, Column>& matrix) {
   if (args.json_path.empty()) return;
@@ -215,6 +217,7 @@ inline void write_json_summary(const BenchArgs& args, const char* bench,
       w.kv("workload", std::string(1, wl));
       w.kv("system", short_name(kind));
       w.kv("host_seconds", r.host_seconds, 6);
+      w.kv("build_seconds", r.build_seconds, 6);
       w.kv("events_executed", r.events_executed);
       w.kv("mean_latency_us", r.mean_latency_us, 6);
       json_metrics(w, "metrics", r.metrics);

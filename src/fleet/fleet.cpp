@@ -147,7 +147,10 @@ FleetResult FleetRunner::run(const RunConfig& run, unsigned jobs) const {
     const Partitioner part(config_.partition, groups, master->files());
     ReplicaWorkload sub(std::move(master), repl, faults, part,
                         static_cast<std::uint32_t>(m), seed_, run.warmup);
+    const auto build_t0 = std::chrono::steady_clock::now();
     Machine machine(machine_config(m), sub.files());
+    const std::chrono::duration<double> build =
+        std::chrono::steady_clock::now() - build_t0;
     const ShardOutage* outage = faults.outage_for(m / replicas, m % replicas);
     if (outage != nullptr && !outage->active()) outage = nullptr;
     ClientTally& tally = tallies[m];
@@ -235,6 +238,7 @@ FleetResult FleetRunner::run(const RunConfig& run, unsigned jobs) const {
       ++result.failed_reads;
     }
     result.retries += client_retries;
+    result.build_seconds = build.count();
     // Reads that found their group's primary down are credited to it.
     if (m % replicas == 0)
       result.down_requests = counters.down_requests[m / replicas];

@@ -11,8 +11,13 @@ namespace pipette {
 
 RunResult run_experiment(const MachineConfig& config, Workload& workload,
                          const RunConfig& run) {
+  const auto build_t0 = std::chrono::steady_clock::now();
   Machine machine(config, workload.files());
-  return run_experiment_on(machine, workload, run);
+  const std::chrono::duration<double> build =
+      std::chrono::steady_clock::now() - build_t0;
+  RunResult result = run_experiment_on(machine, workload, run);
+  result.build_seconds = build.count();
+  return result;
 }
 
 RunResult run_experiment_on(Machine& machine, Workload& workload,

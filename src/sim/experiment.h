@@ -89,13 +89,18 @@ struct RunResult {
   /// feed to chrome_trace_json(). Excluded from Deterministic().
   std::vector<TraceSpan> trace_spans;
 
-  /// Host wall-clock spent simulating this cell (warmup + measurement).
-  /// The only nondeterministic field: excluded from serial/parallel
-  /// equivalence comparisons.
+  /// Host wall-clock spent simulating this cell (warmup + measurement),
+  /// machine construction excluded.
   double host_seconds = 0.0;
 
+  /// Host wall-clock spent constructing the cell's Machine: timed by
+  /// run_experiment and by each fleet machine; 0 from run_experiment_on,
+  /// whose machine the caller built.
+  double build_seconds = 0.0;
+
   /// Every deterministic field as one comparable (and gtest-printable)
-  /// tuple — host_seconds is wall-clock and deliberately absent.
+  /// tuple — host_seconds and build_seconds are wall-clock, the only
+  /// nondeterministic fields, and deliberately absent.
   /// Equivalence tests assert
   ///   EXPECT_EQ(a.Deterministic(), b.Deterministic())
   /// instead of repeating field-by-field boilerplate that silently rots

@@ -9,8 +9,6 @@ namespace pipette {
 
 namespace {
 
-constexpr std::uint64_t kInvalidMu = ~0ull;
-
 template <typename T>
 void drain_into(std::vector<T>& pending, std::vector<T>& out) {
   out.clear();
@@ -39,31 +37,25 @@ Ftl::Ftl(const NandGeometry& geometry, std::uint64_t lba_count,
   PIPETTE_ASSERT_MSG(lba_count <= total_pages - total_pages / 8,
                      "need >= 12.5% spare pages for write allocation");
 
-  map_.resize(lba_count * spp_);
-  reverse_.assign(total_pages * spp_, kInvalidMu);
+  // Zeroed by the allocator, never filled: untouched entries read as the
+  // initial striping and cost no resident memory.
+  auto zeroed = [](std::uint64_t n) {
+    MapTable t(
+        static_cast<std::uint64_t*>(std::calloc(n, sizeof(std::uint64_t))));
+    PIPETTE_ASSERT_MSG(t != nullptr, "FTL mapping table allocation failed");
+    return t;
+  };
+  map_ = zeroed(lba_count * spp_);
+  reverse_ = zeroed(total_pages * spp_);
   blocks_.resize(geometry.dies() * blocks_per_die_);
   free_blocks_.resize(geometry.dies());
   active_block_.assign(geometry.dies(), ~0ull);
   die_erases_.assign(geometry.dies(), 0);
 
-  // Initial striping: LBA i lives on channel (i % C), way ((i / C) % W),
-  // die-local page (i / (C*W)); all of its MUs start in that page's slots.
-  // Linear page index is die-major.
+  // Block bookkeeping for the initially-used region (the striping of
+  // map_get's closed form); everything beyond is free.
   const std::uint64_t c = geometry_.channels;
   const std::uint64_t w = geometry_.ways_per_channel;
-  for (std::uint64_t i = 0; i < lba_count; ++i) {
-    const std::uint64_t channel = i % c;
-    const std::uint64_t way = (i / c) % w;
-    const std::uint64_t page = i / (c * w);
-    const std::uint64_t die = channel * w + way;
-    const std::uint64_t linear = die * pages_per_die_ + page;
-    for (std::uint32_t k = 0; k < spp_; ++k) {
-      map_[i * spp_ + k] = linear * spp_ + k;
-      reverse_[linear * spp_ + k] = i * spp_ + k;
-    }
-  }
-  // Block bookkeeping for the initially-used region; everything beyond is
-  // free.
   for (std::uint64_t die = 0; die < geometry.dies(); ++die) {
     std::uint64_t used_this_die = 0;
     {
@@ -98,6 +90,44 @@ Ftl::Ftl(const NandGeometry& geometry, std::uint64_t lba_count,
   }
 }
 
+// Initial striping: LBA i lives on channel (i % C), way ((i / C) % W),
+// die-local page (i / (C*W)); all of its MUs start in that page's slots.
+// Linear page index is die-major.
+std::uint64_t Ftl::map_get(std::uint64_t logical_mu) const {
+  const std::uint64_t stored = map_[logical_mu];
+  if (stored != 0) return stored - 1;
+  const std::uint64_t lba = logical_mu / spp_;
+  const std::uint64_t c = geometry_.channels;
+  const std::uint64_t w = geometry_.ways_per_channel;
+  const std::uint64_t die = (lba % c) * w + (lba / c) % w;
+  const std::uint64_t linear = die * pages_per_die_ + lba / (c * w);
+  return linear * spp_ + logical_mu % spp_;
+}
+
+void Ftl::map_set(std::uint64_t logical_mu, std::uint64_t linear_mu) {
+  map_[logical_mu] = linear_mu + 1;
+}
+
+// The inverse of map_get's striping; a stored kInvalidMu (which `+ 1` would
+// wrap to the "initial" code) marks a superseded MU.
+std::uint64_t Ftl::rev_get(std::uint64_t linear_mu) const {
+  const std::uint64_t stored = reverse_[linear_mu];
+  if (stored == kInvalidMu) return kInvalidMu;
+  if (stored != 0) return stored - 1;
+  const std::uint64_t page = linear_mu / spp_;
+  const std::uint64_t die = page / pages_per_die_;
+  const std::uint64_t c = geometry_.channels;
+  const std::uint64_t w = geometry_.ways_per_channel;
+  const std::uint64_t lba =
+      (page % pages_per_die_) * (c * w) + (die % w) * c + die / w;
+  return lba < lba_count_ ? lba * spp_ + linear_mu % spp_ : kInvalidMu;
+}
+
+void Ftl::rev_set(std::uint64_t linear_mu, std::uint64_t logical_mu) {
+  reverse_[linear_mu] =
+      logical_mu == kInvalidMu ? kInvalidMu : logical_mu + 1;
+}
+
 PhysPageAddr Ftl::decode(std::uint64_t linear) const {
   const std::uint64_t die = linear / pages_per_die_;
   PhysPageAddr addr;
@@ -107,20 +137,9 @@ PhysPageAddr Ftl::decode(std::uint64_t linear) const {
   return addr;
 }
 
-std::uint64_t Ftl::encode(const PhysPageAddr& addr) const {
-  const std::uint64_t die =
-      static_cast<std::uint64_t>(addr.channel) * geometry_.ways_per_channel +
-      addr.way;
-  return die * pages_per_die_ + addr.page;
-}
-
-std::uint64_t Ftl::die_of_linear(std::uint64_t linear) const {
-  return linear / pages_per_die_;
-}
-
 PhysPageAddr Ftl::lookup(Lba lba) const {
   PIPETTE_ASSERT(lba < lba_count_);
-  return decode(map_[lba * spp_] / spp_);
+  return decode(map_get(lba * spp_) / spp_);
 }
 
 void Ftl::lookup_pages(Lba lba, std::vector<MuPageRead>& out) const {
@@ -131,7 +150,7 @@ void Ftl::lookup_pages(Lba lba, std::vector<MuPageRead>& out) const {
   std::uint32_t counts[8];
   std::uint32_t n = 0;
   for (std::uint32_t s = 0; s < spp_; ++s) {
-    const std::uint64_t page = map_[lba * spp_ + s] / spp_;
+    const std::uint64_t page = map_get(lba * spp_ + s) / spp_;
     bool dup = false;
     for (std::uint32_t i = 0; i < n; ++i) {
       if (pages[i] == page) {
@@ -167,7 +186,12 @@ std::uint32_t Ftl::block_valid_mus(std::uint64_t block_id) const {
 
 std::uint64_t Ftl::mu_linear(Lba lba, std::uint32_t slot) const {
   PIPETTE_ASSERT(lba < lba_count_ && slot < spp_);
-  return map_[lba * spp_ + slot];
+  return map_get(lba * spp_ + slot);
+}
+
+std::uint64_t Ftl::owner_of(std::uint64_t linear_mu) const {
+  PIPETTE_ASSERT(linear_mu < geometry_.total_pages() * spp_);
+  return rev_get(linear_mu);
 }
 
 std::uint64_t Ftl::block_of_linear_mu(std::uint64_t linear_mu) const {
@@ -220,13 +244,13 @@ void Ftl::invalidate_mu(std::uint64_t linear_mu) {
       die * blocks_per_die_ + (page % pages_per_die_) / pages_per_block_;
   PIPETTE_ASSERT(blocks_[block].valid > 0);
   --blocks_[block].valid;
-  reverse_[linear_mu] = kInvalidMu;
+  rev_set(linear_mu, kInvalidMu);
   ++stats_.invalidated_mus;
   // A page stays live while any of its MUs is live; it died with this one
   // if no sibling survives.
   bool any_live = false;
   for (std::uint32_t s = 0; s < spp_ && !any_live; ++s)
-    any_live = reverse_[page * spp_ + s] != kInvalidMu;
+    any_live = rev_get(page * spp_ + s) != kInvalidMu;
   if (!any_live) ++stats_.invalidated_pages;
 }
 
@@ -261,20 +285,20 @@ void Ftl::collect(std::uint64_t die) {
     const std::uint64_t page_linear = first_page + p;
     std::uint32_t live = 0;
     for (std::uint32_t s = 0; s < spp_; ++s)
-      if (reverse_[page_linear * spp_ + s] != kInvalidMu) ++live;
+      if (rev_get(page_linear * spp_ + s) != kInvalidMu) ++live;
     if (live == 0) continue;
     ++stats_.gc_relocated_pages;
     if (spp_ > 1)
       gc_page_reads_.push_back({decode(page_linear), live * mu_size_});
     for (std::uint32_t s = 0; s < spp_; ++s) {
       const std::uint64_t src = page_linear * spp_ + s;
-      const std::uint64_t owner = reverse_[src];
+      const std::uint64_t owner = rev_get(src);
       if (owner == kInvalidMu) continue;
       const std::uint64_t target = alloc_mu(
           die, /*allow_gc=*/false, spp_ == 1 ? nullptr : &gc_page_programs_);
-      map_[owner] = target;
-      reverse_[target] = owner;
-      reverse_[src] = kInvalidMu;
+      map_set(owner, target);
+      rev_set(target, owner);
+      rev_set(src, kInvalidMu);
       if (spp_ == 1)
         pending_moves_.push_back({decode(page_linear), decode(target / spp_)});
       ++stats_.gc_relocated_mus;
@@ -299,7 +323,7 @@ void Ftl::write_slots(Lba lba, std::uint32_t slot_mask) {
   // Invalidate the superseded MUs first: their pages may become GC fodder
   // for the allocations below.
   for (std::uint32_t s = 0; s < spp_; ++s)
-    if (slot_mask & (1u << s)) invalidate_mu(map_[lba * spp_ + s]);
+    if (slot_mask & (1u << s)) invalidate_mu(map_get(lba * spp_ + s));
 
   // Round-robin die selection spreads write bursts across the array; all
   // MUs of one write append to the same die's merged-write stream.
@@ -309,15 +333,15 @@ void Ftl::write_slots(Lba lba, std::uint32_t slot_mask) {
     if (!(slot_mask & (1u << s))) continue;
     const std::uint64_t target =
         alloc_mu(die, /*allow_gc=*/true, &host_programs_);
-    map_[lba * spp_ + s] = target;
-    reverse_[target] = lba * spp_ + s;
+    map_set(lba * spp_ + s, target);
+    rev_set(target, lba * spp_ + s);
     ++stats_.mus_written;
   }
 }
 
 PhysPageAddr Ftl::update(Lba lba) {
   write_slots(lba, spp_ >= 32 ? ~0u : ((1u << spp_) - 1u));
-  return decode(map_[lba * spp_] / spp_);
+  return decode(map_get(lba * spp_) / spp_);
 }
 
 std::vector<GcMove> Ftl::take_gc_moves() {

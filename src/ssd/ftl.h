@@ -16,9 +16,19 @@
 //
 // The initial map stripes consecutive LBAs across channels then ways
 // (maximising read parallelism); all MUs of an LBA start in that LBA's
-// striped page. With MU = page every page holds exactly one MU, each write
-// seals (and thus programs) exactly one page, and GC relocations degrade to
-// the read->program pairs of take_gc_moves() — the behaviour is bit-for-bit
+// striped page. That placement is a closed form and is never materialised:
+// LBA i sits on channel i % C, way (i / C) % W, die page i / (C*W), and the
+// inverse names the owner of an untouched physical MU (none past
+// lba_count). Both mapping tables store `value + 1`, so an entry of 0 means
+// "still at the initial striping", and a superseded physical MU stores its
+// own non-zero invalid code. The tables are allocated zeroed by the
+// allocator (calloc) and never filled, so the OS backs only the 4 KiB pages
+// that writes and GC have touched: a machine's map memory follows the data
+// written, not the device size.
+//
+// With MU = page every page holds exactly one MU, each write seals (and
+// thus programs) exactly one page, and GC relocations degrade to the
+// read->program pairs of take_gc_moves() — the behaviour is bit-for-bit
 // the page-mapped FTL this generalises (golden-pinned).
 //
 // Per-die wear: every erase bumps that die's erase counter (surfaced via
@@ -28,6 +38,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "nand/nand.h"
@@ -84,6 +96,9 @@ struct MuPageRead {
 
 class Ftl {
  public:
+  /// owner_of() for a physical MU that holds no live logical MU.
+  static constexpr std::uint64_t kInvalidMu = ~0ull;
+
   /// Creates a mapping for `lba_count` logical blocks over `geometry`,
   /// mapped at `mapping_unit` bytes (0 = page-granular). `mapping_unit`
   /// must divide the page size and be >= 512. Requires lba_count <= 87.5%
@@ -144,6 +159,9 @@ class Ftl {
   std::uint32_t block_valid_mus(std::uint64_t block_id) const;
   /// Linear MU address currently mapped for (lba, slot).
   std::uint64_t mu_linear(Lba lba, std::uint32_t slot) const;
+  /// Logical MU (lba * slots_per_page + slot) that linear MU address
+  /// `linear_mu` holds, or kInvalidMu if it holds none.
+  std::uint64_t owner_of(std::uint64_t linear_mu) const;
   /// Global block id containing linear MU address `linear_mu`.
   std::uint64_t block_of_linear_mu(std::uint64_t linear_mu) const;
 
@@ -155,9 +173,19 @@ class Ftl {
     std::uint32_t valid = 0;       // still-mapped MUs
   };
 
+  struct FreeDeleter {
+    void operator()(std::uint64_t* p) const { std::free(p); }
+  };
+  using MapTable = std::unique_ptr<std::uint64_t[], FreeDeleter>;
+
+  // The only accessors of map_ / reverse_ (see the header comment for the
+  // encoding).
+  std::uint64_t map_get(std::uint64_t logical_mu) const;
+  void map_set(std::uint64_t logical_mu, std::uint64_t linear_mu);
+  std::uint64_t rev_get(std::uint64_t linear_mu) const;
+  void rev_set(std::uint64_t linear_mu, std::uint64_t logical_mu);
+
   PhysPageAddr decode(std::uint64_t linear) const;
-  std::uint64_t encode(const PhysPageAddr& addr) const;
-  std::uint64_t die_of_linear(std::uint64_t linear) const;
   /// Allocate the next MU on `die`, running GC beforehand if the pool is
   /// low (GC-internal relocation allocates with allow_gc = false to avoid
   /// re-entrance). Updates bookkeeping for the containing block; when the
@@ -180,8 +208,8 @@ class Ftl {
 
   // Linear MU address = linear page * spp + slot; logical MU id =
   // lba * spp + slot.
-  std::vector<std::uint64_t> map_;       // logical MU -> linear MU address
-  std::vector<std::uint64_t> reverse_;   // linear MU address -> logical MU
+  MapTable map_;      // logical MU -> linear MU address + 1 (0: initial)
+  MapTable reverse_;  // linear MU address -> logical MU + 1 (0: initial)
   std::vector<Block> blocks_;            // global block id = die-major
   std::vector<std::vector<std::uint64_t>> free_blocks_;  // per die (LIFO)
   std::vector<std::uint64_t> active_block_;              // per die, global id

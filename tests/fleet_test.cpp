@@ -85,6 +85,9 @@ TEST(Fleet, OneShardFleetMatchesRunExperiment) {
 
   ASSERT_EQ(fleet.shard_results.size(), 1u);
   EXPECT_EQ(direct.Deterministic(), fleet.shard_results[0].Deterministic());
+  // Both entry points time their own machine build, outside Deterministic().
+  EXPECT_GT(direct.build_seconds, 0.0);
+  EXPECT_GT(fleet.shard_results[0].build_seconds, 0.0);
   EXPECT_EQ(fleet.requests, direct.requests);
   EXPECT_EQ(fleet.measured_reads, direct.measured_reads);
   EXPECT_EQ(fleet.bytes_requested, direct.bytes_requested);

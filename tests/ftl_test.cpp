@@ -5,7 +5,8 @@
 // bit-identical across it.
 //
 // The invariants checked after every fuzz batch:
-//  * the logical->physical MU map is injective and in range;
+//  * the logical->physical MU map is injective and in range, the reverse
+//    map inverts it, and every physical MU outside its image has no owner;
 //  * per-block valid-MU accounting equals the count recomputed from the map
 //    (so GC relocated exactly the live MUs, never an invalid one);
 //  * total valid MUs are conserved at lba_count * slots_per_page;
@@ -129,7 +130,13 @@ void check_invariants(const Ftl& ftl, const NandGeometry& g,
       const std::uint64_t linear = ftl.mu_linear(lba, s);
       ASSERT_LT(linear, total_mus);
       ASSERT_TRUE(seen.insert(linear).second) << "lba " << lba << " slot " << s;
+      ASSERT_EQ(ftl.owner_of(linear), lba * spp + s);
       ++per_block[ftl.block_of_linear_mu(linear)];
+    }
+  }
+  for (std::uint64_t linear = 0; linear < total_mus; ++linear) {
+    if (seen.count(linear) == 0) {
+      ASSERT_EQ(ftl.owner_of(linear), Ftl::kInvalidMu) << "mu " << linear;
     }
   }
   std::uint64_t valid_sum = 0;
@@ -243,6 +250,47 @@ TEST_P(FtlFuzz, RandomizedWritesPreserveInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(MappingUnits, FtlFuzz,
                          ::testing::Values(512u, 1024u, 2048u, 4096u));
+
+// The initial striping is a closed form with a closed-form inverse. On a
+// non-power-of-two geometry (3 channels x 5 ways) whose LBA count leaves
+// partial boundary blocks on some dies, the inverse must agree with the
+// one built by walking every LBA's forward map, and every physical MU no
+// LBA maps to (past lba_count, or in a free block) must have no owner.
+TEST(FtlInitialMap, InverseMatchesBruteForceOnNonPowerOfTwoGeometry) {
+  NandGeometry g;
+  g.channels = 3;
+  g.ways_per_channel = 5;
+  g.planes_per_die = 1;
+  g.blocks_per_plane = 8;
+  g.pages_per_block = 4;
+  // 15 dies x 12 pages + 7: dies 0..6 in stripe order hold 13 pages, so
+  // their fourth block is a partial boundary block.
+  const std::uint64_t lbas = 15 * 12 + 7;
+  for (std::uint32_t mu : {4096u, 1024u}) {
+    Ftl ftl(g, lbas, mu);
+    const std::uint32_t spp = ftl.slots_per_page();
+    std::vector<std::uint64_t> owner(g.total_pages() * spp, Ftl::kInvalidMu);
+    for (Lba lba = 0; lba < lbas; ++lba) {
+      const PhysPageAddr a = ftl.lookup(lba);
+      EXPECT_EQ(a.channel, lba % 3);
+      EXPECT_EQ(a.way, (lba / 3) % 5);
+      EXPECT_EQ(a.page, lba / 15);
+      for (std::uint32_t s = 0; s < spp; ++s) {
+        const std::uint64_t linear = ftl.mu_linear(lba, s);
+        ASSERT_LT(linear, owner.size());
+        ASSERT_EQ(owner[linear], Ftl::kInvalidMu);
+        owner[linear] = lba * spp + s;
+      }
+    }
+    std::uint64_t unowned = 0;
+    for (std::uint64_t linear = 0; linear < owner.size(); ++linear) {
+      ASSERT_EQ(ftl.owner_of(linear), owner[linear])
+          << "mu " << linear << " at MU " << mu;
+      if (owner[linear] == Ftl::kInvalidMu) ++unowned;
+    }
+    EXPECT_EQ(unowned, (g.total_pages() - lbas) * spp);
+  }
+}
 
 // --- Hand-computed merged-write arithmetic ------------------------------
 //

@@ -91,7 +91,9 @@ TEST_P(LruModelCheck, RandomOpsMatchReference) {
       int* d = dut.find(key);
       int* r = ref.find(key);
       ASSERT_EQ(d != nullptr, r != nullptr);
-      if (d) ASSERT_EQ(*d, *r);
+      if (d) {
+        ASSERT_EQ(*d, *r);
+      }
     } else if (dice < 0.95) {
       ASSERT_EQ(dut.erase(key), ref.erase(key));
     } else {

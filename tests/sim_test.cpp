@@ -212,6 +212,27 @@ TEST(RunExperimentsParallel, ReportsCompletionPerCell) {
   EXPECT_EQ(done, (std::vector<std::size_t>{0, 1, 2}));
 }
 
+// Machine construction is timed apart from the run it serves:
+// run_experiment times the machine it builds, while run_experiment_on is
+// handed a built machine and reports no build time.
+TEST(RunExperiment, BuildSecondsCoversOnlyItsOwnMachineBuild) {
+  SyntheticConfig sc = table1_workload('E', Distribution::kUniform);
+  sc.file_size = 8 * kMiB;
+  const MachineConfig mc = default_machine(PathKind::kPipette);
+  RunConfig rc;
+  rc.requests = 200;
+  rc.warmup = 100;
+
+  SyntheticWorkload built_inside(sc);
+  EXPECT_GT(run_experiment(mc, built_inside, rc).build_seconds, 0.0);
+
+  SyntheticWorkload w(sc);
+  Machine machine(mc, w.files());
+  const RunResult on = run_experiment_on(machine, w, rc);
+  EXPECT_EQ(on.build_seconds, 0.0);
+  EXPECT_GT(on.host_seconds, 0.0);
+}
+
 TEST(NormalizedThroughput, RelativeToBaseline) {
   RunResult a, b;
   a.requests = b.requests = 100;
